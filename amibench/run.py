@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Builds and runs the amici benchmark.
 
-    python3 amibench/run.py --workload read_hot --seed 1 --seconds 24 --trace 0
+    python3 amibench/run.py --workload read_hot --seed 1 --seconds 30 --trace 0
 
 Run from the root of a source tree. The first run configures and builds
 the library and the benchmark (Release) into .bench_build/amibench; later

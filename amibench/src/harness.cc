@@ -58,23 +58,31 @@ WindowedQuantile WindowedPercentile(const std::vector<double>& values,
     readings.push_back(Percentile(std::move(window), pct).value);
   }
   out.windows = readings.size();
-  out.value = Percentile(std::move(readings), 50).value;
+  out.value = Percentile(readings, 50).value;
+  out.readings = std::move(readings);
   return out;
 }
 
-WindowedQuantile WindowedRate(const std::vector<double>& times_s,
-                              double duration_s, double window_s) {
-  const size_t windows = WindowCount(duration_s, window_s);
-  std::vector<double> counts(windows, 0.0);
-  for (double t : times_s) counts[WindowOf(t, duration_s, windows)] += 1.0;
-  const double width = duration_s / static_cast<double>(windows);
-  WindowedQuantile out;
-  out.windows = windows;
-  out.min_window_samples =
-      static_cast<size_t>(*std::min_element(counts.begin(), counts.end()));
-  for (double& c : counts) c /= width;
-  out.value = Percentile(std::move(counts), 50).value;
-  return out;
+size_t QuietCount(const std::vector<StealReading>& readings) {
+  if (readings.empty()) return 0;
+  double least = readings.front().steal;
+  for (const StealReading& r : readings) least = std::min(least, r.steal);
+  size_t quiet = 0;
+  for (const StealReading& r : readings) {
+    if (r.steal <= least + kQuietStealSlack) ++quiet;
+  }
+  return std::max(quiet, (readings.size() + 1) / 2);
+}
+
+double QuietMedian(std::vector<StealReading> readings) {
+  const size_t keep = QuietCount(readings);
+  std::stable_sort(readings.begin(), readings.end(),
+                   [](const StealReading& a, const StealReading& b) {
+                     return a.steal < b.steal;
+                   });
+  std::vector<double> values;
+  for (size_t i = 0; i < keep; ++i) values.push_back(readings[i].value);
+  return Percentile(std::move(values), 50).value;
 }
 
 std::vector<double> PoissonSchedule(double rate_per_s, double duration_s,

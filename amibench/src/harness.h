@@ -48,6 +48,8 @@ struct WindowedQuantile {
   size_t windows = 0;
   /// Samples in the emptiest window (what each window's reading rests on).
   size_t min_window_samples = 0;
+  /// Each window's reading, in time order.
+  std::vector<double> readings;
 };
 
 /// `values[i]` was observed at `times_s[i]` (seconds from the start of a
@@ -59,10 +61,26 @@ WindowedQuantile WindowedPercentile(const std::vector<double>& values,
                                     double duration_s, double window_s,
                                     double pct);
 
-/// Median over the same windows of events per second, for events that
-/// happened at `times_s`.
-WindowedQuantile WindowedRate(const std::vector<double>& times_s,
-                              double duration_s, double window_s);
+/// One reading of a repeated measurement and the share of the VM's CPU
+/// time the host stole while it was taken.
+struct StealReading {
+  double steal = 0.0;
+  double value = 0.0;
+};
+
+/// Steal above the least-stolen reading's that still counts as quiet.
+inline constexpr double kQuietStealSlack = 0.05;
+
+/// The median value of the quiet readings: those taken under at most
+/// kQuietStealSlack more steal than the least-stolen one, or, when fewer
+/// than half qualify, the half (rounded up) taken under the least steal.
+/// On a quiet host that is every reading; on a busy one, the host's worst
+/// stretches are left out. A change to the program moves every reading,
+/// so it moves this one too. An empty input gives 0.
+double QuietMedian(std::vector<StealReading> readings);
+
+/// How many readings QuietMedian uses.
+size_t QuietCount(const std::vector<StealReading>& readings);
 
 // --- open loop ------------------------------------------------------------
 

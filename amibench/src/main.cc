@@ -2,7 +2,7 @@
 // and prints its metrics. Normally started through run.py, which builds
 // it first:
 //
-//   amibench --workload read_hot --seed 1 --seconds 20 --trace 0
+//   amibench --workload read_hot --seed 1 --seconds 30 --trace 0
 //
 // The last line of standard output is one JSON object:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}

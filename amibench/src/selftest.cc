@@ -61,14 +61,26 @@ void TestPercentiles() {
   Check(windowed.value == 99, "a stall in one window does not move the median");
   const auto late = amibench::WindowedPercentile({5.0}, {7.5}, 3.0, 1.0, 50);
   Check(late.windows == 1 && late.value == 5, "late samples join the last window");
-  // 10 events in [0,1), 20 in [1,2), 30 in [2,3): median rate 20/s.
-  std::vector<double> events;
-  for (int w = 0; w < 3; ++w) {
-    for (int i = 0; i < 10 * (w + 1); ++i) events.push_back(w + 0.01 * i);
-  }
-  const auto rate = amibench::WindowedRate(events, 3.0, 1.0);
-  Check(rate.value == 20 && rate.windows == 3 && rate.min_window_samples == 10,
-        "windowed rate is the median window's events per second");
+}
+
+void TestQuietMedian() {
+  using amibench::QuietCount;
+  using amibench::QuietMedian;
+  // Steal within 0.05 of the least everywhere: every reading counts.
+  const std::vector<amibench::StealReading> calm = {
+      {0.01, 5}, {0.03, 1}, {0.00, 4}, {0.05, 2}, {0.02, 3}};
+  Check(QuietCount(calm) == 5 && QuietMedian(calm) == 3, "a calm host keeps all");
+  // Two quiet readings of five: the three least-stolen count (1, 2, 3).
+  const std::vector<amibench::StealReading> busy = {
+      {0.30, 9}, {0.01, 1}, {0.20, 3}, {0.50, 8}, {0.00, 2}};
+  Check(QuietCount(busy) == 3 && QuietMedian(busy) == 2,
+        "a busy host keeps at least the quieter half");
+  // Three of five within the slack (0.10, 0.12, 0.14): 7, 6, 5.
+  const std::vector<amibench::StealReading> mixed = {
+      {0.10, 7}, {0.40, 1}, {0.14, 5}, {0.12, 6}, {0.35, 2}};
+  Check(QuietCount(mixed) == 3 && QuietMedian(mixed) == 6,
+        "the slack is measured from the least-stolen reading");
+  Check(QuietMedian({}) == 0 && QuietCount({}) == 0, "no readings give 0");
 }
 
 void TestSelfTime() {
@@ -175,6 +187,7 @@ void TestNames() {
 
 int main() {
   TestPercentiles();
+  TestQuietMedian();
   TestSelfTime();
   TestOpenLoopTiming();
   TestSameRanking();
