@@ -10,15 +10,17 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph_generators.h"
 #include "persist/segment.h"
 #include "proximity/ppr_forward_push.h"
+#include "proximity_service/delta_overlay_graph.h"
 #include "storage/posting_list.h"
 #include "topk/threshold_algorithm.h"
 #include "topk/topk_heap.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/varint.h"
 #include "util/zipf.h"
+#include "workload/dataset_generator.h"
 
 namespace amici {
 namespace {
@@ -240,17 +242,49 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample);
 
+/// The medium dataset's friendship graph, generated once.
+const SocialGraph& MediumGraph() {
+  static const SocialGraph graph =
+      GenerateDataset(MediumDataset()).value().graph;
+  return graph;
+}
+
+/// `base` with `edges` random friendship insertions applied through the
+/// delta overlay: a base CSR plus a patch of ~2 × `edges` rows, the shape
+/// a serving graph has between folds.
+SocialGraph WithOverlayRows(const SocialGraph& base, size_t edges) {
+  DeltaOverlayGraph delta(base, 1);
+  Rng rng(9);
+  for (size_t added = 0; added < edges;) {
+    const auto u = static_cast<UserId>(rng.UniformIndex(base.num_users()));
+    const auto v = static_cast<UserId>(rng.UniformIndex(base.num_users()));
+    if (u == v || delta.Compose().HasEdge(u, v)) continue;
+    delta.ApplyHalf(u, v, true);
+    delta.ApplyHalf(v, u, true);
+    ++added;
+  }
+  return delta.Compose();
+}
+
+// Forward-push PPR (epsilon 1e-4, the serving model) from a strided
+// sweep of sources on the medium graph: Arg(0) over the pure CSR,
+// Arg(1) over the same graph carrying a ~100-row overlay patch, where
+// every degree and row lookup first probes the patch.
 void BM_PprForwardPush(benchmark::State& state) {
-  Rng rng(7);
-  const SocialGraph graph = GenerateBarabasiAlbert(20000, 6, &rng);
+  const bool overlay = state.range(0) != 0;
+  const SocialGraph graph =
+      overlay ? WithOverlayRows(MediumGraph(), 50) : MediumGraph();
   const PprForwardPush push(0.15, 1e-4);
   UserId source = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(push.Compute(graph, source));
     source = (source + 97) % static_cast<UserId>(graph.num_users());
   }
+  state.SetLabel(overlay ? StringPrintf("overlay, %zu rows",
+                                        graph.overlay()->num_rows())
+                         : "csr");
 }
-BENCHMARK(BM_PprForwardPush);
+BENCHMARK(BM_PprForwardPush)->Arg(0)->Arg(1);
 
 class VectorSource final : public SortedSource {
  public:

@@ -15,6 +15,21 @@ namespace amici {
 /// size, which is what makes per-query PPR practical.
 ///
 /// Guarantee: |p[v] − π[v]| ≤ epsilon · deg(v) for every v.
+///
+/// State lives in per-thread, epoch-stamped scratch rather than hash
+/// maps: dense stamp[u]/slot[u] arrays (uint32_t each, grown to the
+/// largest num_users the thread has seen) map a user to a compact record
+/// (estimate, residual, threshold, user, queued flag), and a new call
+/// bumps the epoch instead of clearing anything. The threshold
+/// epsilon · max(deg, 1) is computed once per touched user, and the FIFO
+/// is a reused ring of record indices. Memory is 8 B × num_users per
+/// computing thread (160 KB at 20k users), plus 32 B records and a ring
+/// sized by the largest push the thread has run.
+///
+/// The result does not depend on scratch state: the push order (FIFO,
+/// `r < threshold` skip on pop, `>=` on enqueue, dangling mass back to
+/// the source) is fixed, so the output is bit-identical across calls,
+/// threads and graph sizes.
 class PprForwardPush : public ProximityModel {
  public:
   /// `restart_prob` in (0, 1); `epsilon` > 0 controls the accuracy/cost

@@ -17,9 +17,24 @@ std::vector<TagId> NormalizedTags(const Item& item) {
   return tags;
 }
 
+/// True when the tag list is already in stored form (strictly ascending).
+bool TagsNormalized(const std::vector<TagId>& tags) {
+  return std::adjacent_find(tags.begin(), tags.end(),
+                            [](TagId a, TagId b) { return a >= b; }) ==
+         tags.end();
+}
+
+/// Number of distinct tags; allocates only when the list is not already
+/// sorted and unique.
+size_t DistinctTagCount(const Item& item) {
+  return TagsNormalized(item.tags) ? item.tags.size()
+                                   : NormalizedTags(item).size();
+}
+
 /// Item validity checks shared by Add and the ValidateForAdd* family;
-/// `tags` is the already-normalized list. Capacity is checked separately.
-Status ValidateItemShape(const Item& item, const std::vector<TagId>& tags) {
+/// `distinct_tags` counts the normalized list. Capacity is checked
+/// separately.
+Status ValidateItemShape(const Item& item, size_t distinct_tags) {
   if (item.owner == kInvalidUserId) {
     return Status::InvalidArgument("item owner must be a valid user");
   }
@@ -30,7 +45,7 @@ Status ValidateItemShape(const Item& item, const std::vector<TagId>& tags) {
     return Status::InvalidArgument(
         StringPrintf("quality %.3f outside [0, 1]", item.quality));
   }
-  if (tags.size() > StableColumn<TagId>::kMaxRun) {
+  if (distinct_tags > StableColumn<TagId>::kMaxRun) {
     return Status::InvalidArgument("item carries too many tags");
   }
   return Status::Ok();
@@ -39,9 +54,9 @@ Status ValidateItemShape(const Item& item, const std::vector<TagId>& tags) {
 }  // namespace
 
 Status ItemStore::ValidateForAdd(const Item& item) const {
-  const std::vector<TagId> tags = NormalizedTags(item);
-  AMICI_RETURN_IF_ERROR(ValidateItemShape(item, tags));
-  if (!owner_.CanAppend(1) || !tag_data_.CanAppend(tags.size())) {
+  const size_t distinct_tags = DistinctTagCount(item);
+  AMICI_RETURN_IF_ERROR(ValidateItemShape(item, distinct_tags));
+  if (!owner_.CanAppend(1) || !tag_data_.CanAppend(distinct_tags)) {
     return Status::ResourceExhausted("item store is at capacity");
   }
   return Status::Ok();
@@ -54,13 +69,13 @@ Status ItemStore::ValidateForAddAll(std::span<const Item> items) const {
   // conservative per-run bound that stays proportional to the batch.
   size_t tag_slots = 0;
   for (size_t i = 0; i < items.size(); ++i) {
-    const std::vector<TagId> tags = NormalizedTags(items[i]);
-    const Status status = ValidateItemShape(items[i], tags);
+    const size_t distinct_tags = DistinctTagCount(items[i]);
+    const Status status = ValidateItemShape(items[i], distinct_tags);
     if (!status.ok()) {
       return Status(status.code(), StringPrintf("batch item %zu: %s", i,
                                                 status.message().c_str()));
     }
-    tag_slots += 2 * tags.size();
+    tag_slots += 2 * distinct_tags;
   }
   // Mirror CanAppend's full-chunk slack per column so that after Ok()
   // every per-item CanAppend along the batch is guaranteed to pass.
@@ -75,8 +90,12 @@ Status ItemStore::ValidateForAddAll(std::span<const Item> items) const {
 }
 
 Result<ItemId> ItemStore::Add(const Item& item) {
-  std::vector<TagId> tags = NormalizedTags(item);
-  AMICI_RETURN_IF_ERROR(ValidateItemShape(item, tags));
+  // Store the caller's list as is when it is already sorted and unique.
+  const bool in_stored_form = TagsNormalized(item.tags);
+  std::vector<TagId> sorted;
+  if (!in_stored_form) sorted = NormalizedTags(item);
+  const std::vector<TagId>& tags = in_stored_form ? item.tags : sorted;
+  AMICI_RETURN_IF_ERROR(ValidateItemShape(item, tags.size()));
   if (!owner_.CanAppend(1) || !tag_data_.CanAppend(tags.size())) {
     return Status::ResourceExhausted("item store is at capacity");
   }

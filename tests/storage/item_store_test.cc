@@ -1,5 +1,6 @@
 #include "storage/item_store.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -187,6 +188,37 @@ TEST(ItemStoreTest, ValidateForAddMatchesAddVerdicts) {
   no_tags.tags.clear();
   EXPECT_EQ(store.ValidateForAdd(no_tags).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ItemStoreTest, TagLimitCountsDistinctTagsInAnyOrder) {
+  constexpr size_t kMaxRun = StableColumn<TagId>::kMaxRun;
+  std::vector<TagId> ascending(kMaxRun + 1);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<TagId>(i);
+  }
+  std::vector<TagId> descending(ascending.rbegin(), ascending.rend());
+  // kMaxRun + 1 entries but only kMaxRun distinct tags.
+  std::vector<TagId> duplicated = ascending;
+  duplicated.back() = duplicated.front();
+
+  ItemStore store;
+  for (const auto& tags : {ascending, descending}) {
+    const Item item = MakeItem(1, tags, 0.5f);
+    EXPECT_EQ(store.ValidateForAdd(item).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(store.ValidateForAddAll({&item, 1}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(store.Add(item).ok());
+  }
+  EXPECT_EQ(store.num_items(), 0u);
+
+  const Item item = MakeItem(1, duplicated, 0.5f);
+  EXPECT_TRUE(store.ValidateForAdd(item).ok());
+  EXPECT_TRUE(store.ValidateForAddAll({&item, 1}).ok());
+  const auto id = store.Add(item);
+  ASSERT_TRUE(id.ok());
+  const auto stored = store.tags(id.value());
+  ASSERT_EQ(stored.size(), kMaxRun);
+  EXPECT_TRUE(std::is_sorted(stored.begin(), stored.end()));
 }
 
 TEST(ItemStoreTest, ValidateForAddAllAcceptsLargeBatches) {
