@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -52,24 +51,14 @@ ServiceBundle BuildService(const DatasetConfig& config, size_t shards,
 
   watch.Restart();
   ServiceBundle bundle;
-  if (shards <= 1) {
-    LocalSearchService::Options local_options;
-    local_options.engine = std::move(options);
-    auto service = LocalSearchService::Build(std::move(dataset.value().graph),
-                                             std::move(dataset.value().store),
-                                             std::move(local_options));
-    AMICI_CHECK(service.ok()) << service.status().ToString();
-    bundle.service = std::move(service).value();
-  } else {
-    ShardedSearchService::Options sharded_options;
-    sharded_options.num_shards = shards;
-    sharded_options.engine = std::move(options);
-    auto service = ShardedSearchService::Build(
-        std::move(dataset.value().graph), std::move(dataset.value().store),
-        std::move(sharded_options));
-    AMICI_CHECK(service.ok()) << service.status().ToString();
-    bundle.service = std::move(service).value();
-  }
+  ShardedSearchService::Options service_options;
+  service_options.num_shards = shards;
+  service_options.engine = std::move(options);
+  auto service = ShardedSearchService::Build(
+      std::move(dataset.value().graph), std::move(dataset.value().store),
+      std::move(service_options));
+  AMICI_CHECK(service.ok()) << service.status().ToString();
+  bundle.service = std::move(service).value();
   std::fprintf(stderr,
                "[bench] dataset '%s': %zu users, %zu items, backend %s "
                "(gen %.0f ms, build %.0f ms)\n",

@@ -21,8 +21,7 @@ struct EngineBundle {
   Dataset workload_view;
 };
 
-/// A SearchService (local when shards == 1, sharded otherwise) plus a
-/// dataset copy usable for workload generation.
+/// A SearchService plus a dataset copy usable for workload generation.
 struct ServiceBundle {
   std::unique_ptr<SearchService> service;
   Dataset workload_view;
@@ -34,9 +33,8 @@ struct ServiceBundle {
 EngineBundle BuildEngine(const DatasetConfig& config,
                          SocialSearchEngine::Options options = {});
 
-/// Service-level counterpart of BuildEngine: `shards` selects the backend
-/// (1 = LocalSearchService, >1 = ShardedSearchService over that many
-/// hash partitions).
+/// Service-level counterpart of BuildEngine: a ShardedSearchService over
+/// `shards` (>= 1) hash partitions.
 ServiceBundle BuildService(const DatasetConfig& config, size_t shards,
                            SocialSearchEngine::Options options = {});
 

@@ -1,8 +1,8 @@
 // Fig 10 — concurrent throughput through the SearchService surface, on
 // two axes:
 //
-//  (a) queries per second as CLIENT threads scale against the local
-//      backend — the engine's internal synchronization (proximity cache +
+//  (a) queries per second as CLIENT threads scale against a 1-shard
+//      service — the engine's internal synchronization (proximity cache +
 //      stats) under read contention, as in the original figure;
 //  (b) queries per second as the SHARD count scales under a fixed client
 //      load — the fan-out/merge router's scaling curve (--shards=a,b,c
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   workload.alpha = 0.5;
   workload.seed = 99;
 
-  // --- (a) client-thread sweep on the local backend. -------------------
+  // --- (a) client-thread sweep on a 1-shard service. -------------------
   {
     bench::ServiceBundle bundle = bench::BuildService(MediumDataset(), 1);
     const auto queries = GenerateQueries(bundle.workload_view, workload);
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
 
   // --- (c) block-max pruning on vs off under concurrent load. ----------
   // Merge-scan queries (the posting-list-walking strategy) against twin
-  // local backends; the traversal counters arrive through the public
+  // 1-shard services; the traversal counters arrive through the public
   // SearchResponse::stats surface, end to end.
   {
     TablePrinter bmax_table(

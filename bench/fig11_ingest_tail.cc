@@ -42,7 +42,7 @@
 #include "graph/graph_io.h"
 #include "proximity/shared_proximity_provider.h"
 #include "ingest/compaction_policy.h"
-#include "service/local_search_service.h"
+#include "service/sharded_search_service.h"
 #include "storage/item_store_io.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -294,11 +294,20 @@ int main(int argc, char** argv) {
       "batches into few snapshot publishes; the scheduler keeps the tail "
       "bounded with zero manual Compact() calls");
 
-  // The engine moves behind the service surface; parts 1–2 left it
-  // compacted and warm.
-  auto service =
-      std::make_unique<LocalSearchService>(std::move(bundle.engine));
-  SocialSearchEngine* engine = service->engine();
+  // The catalogue parts 1–2 grew moves behind the service surface: a
+  // 1-shard service built over copies of its rows and graph, compacted
+  // and warmed like the engine it replaces.
+  ShardedSearchService::Options service_options;
+  service_options.num_shards = 1;
+  auto built = ShardedSearchService::Build(bundle.engine->graph(),
+                                           bundle.engine->store(),
+                                           std::move(service_options));
+  AMICI_CHECK(built.ok()) << built.status().ToString();
+  bundle.engine.reset();
+  const auto service = std::move(built).value();
+  AMICI_CHECK_OK(service->Compact());
+  bench::WarmService(service.get(), queries.value());
+  SocialSearchEngine* engine = service->shard_engine(0);
 
   const size_t kQueued = smoke ? 4000 : 25000;
   constexpr size_t kProducerBatch = 64;
@@ -439,11 +448,12 @@ int main(int argc, char** argv) {
     persist::SnapshotOpenOptions open_options;
     open_options.verify_checksums = false;  // cold path: faults verify lazily
     double open_ms = 0.0;
-    std::unique_ptr<LocalSearchService> twin_service;
+    std::unique_ptr<ShardedSearchService> twin_service;
     for (int rep = 0; rep < kOpenReps; ++rep) {
       Stopwatch open_watch;
-      auto twin = LocalSearchService::OpenSnapshot(
-          snapshot_dir, LocalSearchService::Options(), open_options, &replay);
+      auto twin = ShardedSearchService::OpenSnapshot(
+          snapshot_dir, ShardedSearchService::Options(), open_options,
+          &replay);
       AMICI_CHECK(twin.ok()) << twin.status().ToString();
       const double ms = open_watch.ElapsedMillis();
       if (rep == 0 || ms < open_ms) open_ms = ms;
@@ -459,15 +469,18 @@ int main(int argc, char** argv) {
     const std::string durable_rows = SerializeItemStore(engine->store());
     const std::string durable_graph = SerializeGraph(*engine->snapshot()->graph);
     double build_ms = 0.0;
-    std::unique_ptr<LocalSearchService> rebuilt_service;
+    std::unique_ptr<ShardedSearchService> rebuilt_service;
     for (int rep = 0; rep < kReingestReps; ++rep) {
       Stopwatch build_watch;
       auto rows = DeserializeItemStore(durable_rows);
       AMICI_CHECK(rows.ok()) << rows.status().ToString();
       auto graph_copy = DeserializeGraph(durable_graph);
       AMICI_CHECK(graph_copy.ok()) << graph_copy.status().ToString();
-      auto rebuilt = LocalSearchService::Build(std::move(graph_copy).value(),
-                                               std::move(rows).value());
+      ShardedSearchService::Options rebuilt_options;
+      rebuilt_options.num_shards = 1;
+      auto rebuilt = ShardedSearchService::Build(
+          std::move(graph_copy).value(), std::move(rows).value(),
+          std::move(rebuilt_options));
       AMICI_CHECK(rebuilt.ok()) << rebuilt.status().ToString();
       const double ms = build_watch.ElapsedMillis();
       if (rep == 0 || ms < build_ms) build_ms = ms;

@@ -2,7 +2,7 @@
 // surface. The exhaustive baseline grows linearly with the catalogue; the
 // index-driven strategies grow sublinearly (bounded by the query's
 // neighbourhood and posting-list prefixes, not the corpus). With
-// --shards=N the same workload runs against a ShardedSearchService: each
+// --shards=N (default 1) the service splits the catalogue N ways: each
 // shard scans/aggregates over ~1/N of the items and the fan-out/merge
 // happens on a thread pool, so the exhaustive row in particular drops
 // toward 1/N.

@@ -3,7 +3,7 @@
 // geo-social query of the Fig 8 experiment, driven through the
 // SearchService API, including the radius-dependent choice between
 // geo-driven and social-driven execution (a per-request hint) — and the
-// same requests served by a 4-way sharded backend with identical answers.
+// same requests served by a 4-shard service with identical answers.
 //
 //   ./build/examples/geo_restaurants
 
@@ -12,7 +12,6 @@
 #include <string>
 
 #include "geo/geo_point.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 
@@ -45,13 +44,16 @@ int main() {
     }
   }
 
-  auto local_or = LocalSearchService::Build(std::move(dataset.value().graph),
-                                            std::move(dataset.value().store));
-  if (!local_or.ok()) {
-    std::fprintf(stderr, "%s\n", local_or.status().ToString().c_str());
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  auto service_or = ShardedSearchService::Build(
+      std::move(dataset.value().graph), std::move(dataset.value().store),
+      std::move(options));
+  if (!service_or.ok()) {
+    std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());
     return 1;
   }
-  std::unique_ptr<SearchService> service = std::move(local_or).value();
+  std::unique_ptr<SearchService> service = std::move(service_or).value();
 
   SearchRequest request;
   request.query.user = 42;
@@ -97,7 +99,7 @@ int main() {
   std::printf("\nsmall radius: geo-grid wins (few candidates in range);\n");
   std::printf("large radius: the social/content indexes win again.\n");
 
-  // The same sweep on a sharded backend: identical result ids, with the
+  // The same sweep on 4 shards: identical result ids, with the
   // work spread across 4 partitions (the geo-grid hint is applied per
   // shard, falling back transparently on shards that hold no geo items).
   ShardedSearchService::Options sharded_options;

@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "service/local_search_service.h"
+#include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 
 using namespace amici;
@@ -29,8 +29,11 @@ int main() {
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  auto service_or = LocalSearchService::Build(std::move(dataset.value().graph),
-                                              std::move(dataset.value().store));
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  auto service_or = ShardedSearchService::Build(
+      std::move(dataset.value().graph), std::move(dataset.value().store),
+      std::move(options));
   if (!service_or.ok()) {
     std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());
     return 1;

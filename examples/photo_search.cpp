@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "service/local_search_service.h"
+#include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
 
@@ -37,8 +37,11 @@ int main() {
               dataset.value().tags.size());
 
   Dataset workload_view = GenerateDataset(config).value();  // for queries
-  auto service_or = LocalSearchService::Build(std::move(dataset.value().graph),
-                                              std::move(dataset.value().store));
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  auto service_or = ShardedSearchService::Build(
+      std::move(dataset.value().graph), std::move(dataset.value().store),
+      std::move(options));
   if (!service_or.ok()) {
     std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());
     return 1;

@@ -1,8 +1,8 @@
 // Quickstart: build a tiny social network by hand, index a handful of
 // items, and run one social top-k query end to end — through the
 // backend-agnostic SearchService API. The same request is then served by
-// a sharded backend to show that the backend is a deployment choice, not
-// a code change.
+// a 2-shard service to show that the shard count is a deployment choice,
+// not a code change.
 //
 //   ./build/examples/quickstart
 
@@ -10,14 +10,12 @@
 #include <memory>
 
 #include "graph/graph_builder.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "storage/tag_dictionary.h"
 
 using amici::GraphBuilder;
 using amici::Item;
 using amici::ItemStore;
-using amici::LocalSearchService;
 using amici::SearchRequest;
 using amici::SearchService;
 using amici::ShardedSearchService;
@@ -36,7 +34,7 @@ int main() {
   };
 
   // --- 2. The catalogue: photos described by tags. Intern is
-  // idempotent, so rebuilding the store (once per backend below) through
+  // idempotent, so rebuilding the store (once per service below) through
   // the one shared dictionary assigns identical ids each time.
   TagDictionary tags;
   auto build_store = [&tags] {
@@ -60,8 +58,12 @@ int main() {
     return store;
   };
 
-  // --- 3. Build the service (engine + indexes behind one query surface).
-  auto service_or = LocalSearchService::Build(build_graph(), build_store());
+  // --- 3. Build the service (engine + indexes behind one query surface),
+  // one shard: the whole catalogue in a single engine.
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  auto service_or = ShardedSearchService::Build(build_graph(), build_store(),
+                                                std::move(options));
   if (!service_or.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  service_or.status().ToString().c_str());
@@ -102,7 +104,7 @@ int main() {
       "dave's higher-quality photo (3 hops away) does not even place;\n"
       "alice's own unrelated post sneaks in purely through self-proximity.\n");
 
-  // --- 5. The same request against a sharded backend: the 5 items are
+  // --- 5. The same request against two shards: the 5 items are
   // hash-partitioned across 2 engines, the graph is replicated, and the
   // per-shard top-k lists are merged exactly — identical answers.
   ShardedSearchService::Options sharded_options;

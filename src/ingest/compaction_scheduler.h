@@ -15,8 +15,8 @@
 
 namespace amici {
 
-/// What the scheduler compacts: a set of independently-compactable shards
-/// (1 for the local backend). Both SearchService backends implement it.
+/// What the scheduler compacts: a set of independently-compactable shards.
+/// SearchService implements it.
 /// ShardSignals/CompactShard must be safe to call from the scheduler
 /// thread concurrently with queries and ingest — which the engines'
 /// snapshot protocol already guarantees.
@@ -24,7 +24,7 @@ class CompactionTarget {
  public:
   virtual ~CompactionTarget() = default;
 
-  /// Number of partitions behind the surface (1 for local).
+  /// Number of partitions behind the surface.
   virtual size_t num_shards() const = 0;
   /// Trigger inputs of shard `shard` (< num_shards()).
   virtual CompactionSignals ShardSignals(size_t shard) const = 0;

@@ -1,10 +1,7 @@
 #include "service/search_service.h"
 
-#include <condition_variable>
 #include <mutex>
 #include <utility>
-
-#include "util/thread_pool.h"
 
 namespace amici {
 
@@ -359,32 +356,6 @@ void SearchService::ShutdownBackgroundWork() {
   // remaining queue synchronously through this service's mutators).
   StopAutoCompaction();
   StopIngest();
-}
-
-void FanOutOnPool(ThreadPool* pool, size_t count,
-                  const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  if (count == 1) {
-    fn(0);
-    return;
-  }
-  // The counter is decremented UNDER the mutex: once the waiter observes
-  // 0 the last worker has already left its critical section, so
-  // returning (and destroying these stack-locals) cannot race a worker
-  // still touching them.
-  size_t remaining = count - 1;  // guarded by done_mutex
-  std::mutex done_mutex;
-  std::condition_variable done;
-  for (size_t i = 1; i < count; ++i) {
-    pool->Submit([&, i] {
-      fn(i);
-      std::lock_guard<std::mutex> lock(done_mutex);
-      if (--remaining == 0) done.notify_all();
-    });
-  }
-  fn(0);
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace amici

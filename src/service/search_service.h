@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,8 +45,8 @@ struct SearchRequest {
   /// COOPERATIVELY: the service derives a CancellationToken from it that
   /// the search algorithms probe per posting-list block / candidate
   /// batch, so an expired deadline stops work *inside* a shard (stats.
-  /// truncated marks the best-effort partial). The sharded backend
-  /// additionally abandons whole shards at the fan-out barrier and
+  /// truncated marks the best-effort partial). With more than one shard
+  /// the service additionally abandons whole shards at the fan-out barrier and
   /// cancels their stragglers (deadline_exceeded = true, shards_touched /
   /// shards_abandoned = how the fan-out split); the response is the
   /// exact-over-completed merge of whatever the deadline allowed.
@@ -71,10 +70,10 @@ struct SearchResponse {
   /// shards only (see SearchRequest::algorithm), the hint's name is kept;
   /// if every shard substituted, the substitute's name is reported.
   std::string_view algorithm;
-  /// Which backend served the request ("local", "sharded/4", ...).
+  /// Which backend served the request ("sharded/1", "sharded/4", ...).
   std::string_view backend;
   /// How many partitions contributed results. Normally the backend's
-  /// shard count (1 for local); fewer when a deadline abandoned slow
+  /// shard count; fewer when a deadline abandoned slow
   /// shards mid-fan-out or a shard failed (see shards_abandoned /
   /// shards_failed).
   size_t shards_touched = 1;
@@ -115,14 +114,14 @@ struct SearchResponse {
 ///    threads, concurrently with each other AND with all mutators;
 ///  * AddItem / AddItems / AddFriendship / RemoveFriendship / Compact are
 ///    safe concurrently with queries and serialize among themselves;
-///  * Search / SearchBatch results are EXACT and identical across
-///    backends: the same corpus behind a local and a sharded service
-///    returns the same items with the same scores (see
-///    tests/service/sharded_invariance_test.cc). SuggestTags support
-///    counts and thresholds are likewise exact everywhere; suggestion
-///    WEIGHTS may differ across backends in the last float ulps
-///    (per-shard float subtotals vs one double sum), which can reorder
-///    near-tied tags.
+///  * Search / SearchBatch results are EXACT and identical at every
+///    shard count: the same corpus behind any number of shards returns
+///    the same items with the same scores as one SocialSearchEngine
+///    over it (see tests/service/sharded_invariance_test.cc).
+///    SuggestTags support counts and thresholds are likewise exact
+///    everywhere; suggestion WEIGHTS may differ across shard counts in
+///    the last float ulps (per-shard float subtotals vs one double
+///    sum), which can reorder near-tied tags.
 ///
 /// The base class additionally owns the OPTIONAL background machinery of
 /// the ingest subsystem (src/ingest/): an MPSC queue + writer thread
@@ -137,9 +136,9 @@ class SearchService : public IngestSink, public CompactionTarget {
  public:
   ~SearchService() override = default;
 
-  /// Stable backend label ("local", "sharded/4").
+  /// Stable backend label ("sharded/1", "sharded/4").
   virtual std::string_view backend_name() const = 0;
-  // num_shards() — number of partitions behind the surface (1 for local)
+  // num_shards() — number of partitions behind the surface
   // — is inherited from CompactionTarget, alongside ShardSignals() /
   // CompactShard(), the per-shard compaction surface the background
   // scheduler drives.
@@ -402,17 +401,6 @@ class SearchService : public IngestSink, public CompactionTarget {
 /// Folds `from` into `into` (counter-wise sum) — the per-shard stats
 /// merge every partitioned response goes through.
 void MergeSearchStats(const SearchStats& from, SearchStats* into);
-
-class ThreadPool;
-
-/// Runs fn(0..count) with fn(0) on the calling thread and the rest on
-/// `pool`, waiting for per-call completion — NOT pool-wide idleness
-/// (ThreadPool::ParallelFor's WaitIdle would make concurrent callers
-/// sharing one pool serialize on, and potentially starve behind, each
-/// other's work). Must not be called from inside one of its own pool
-/// tasks. Shared by the backends' batch and fan-out paths.
-void FanOutOnPool(ThreadPool* pool, size_t count,
-                  const std::function<void(size_t)>& fn);
 
 }  // namespace amici
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -25,6 +26,38 @@ namespace {
 bool ScoreOrder(const ScoredItem& a, const ScoredItem& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.item < b.item;
+}
+
+/// Runs fn(0..count) with fn(0) on the calling thread and the rest on
+/// `pool`, waiting for per-call completion — NOT pool-wide idleness
+/// (ThreadPool::ParallelFor's WaitIdle would make concurrent callers
+/// sharing one pool serialize on, and potentially starve behind, each
+/// other's work). Must not be called from inside one of its own pool
+/// tasks.
+void FanOutOnPool(ThreadPool* pool, size_t count,
+                  const std::function<void(size_t)>& fn) {
+  if (count == 0) return;
+  if (count == 1) {
+    fn(0);
+    return;
+  }
+  // The counter is decremented UNDER the mutex: once the waiter observes
+  // 0 the last worker has already left its critical section, so
+  // returning (and destroying these stack-locals) cannot race a worker
+  // still touching them.
+  size_t remaining = count - 1;  // guarded by done_mutex
+  std::mutex done_mutex;
+  std::condition_variable done;
+  for (size_t i = 1; i < count; ++i) {
+    pool->Submit([&, i] {
+      fn(i);
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done.notify_all();
+    });
+  }
+  fn(0);
+  std::unique_lock<std::mutex> lock(done_mutex);
+  done.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace
@@ -101,19 +134,19 @@ Result<std::unique_ptr<ShardedSearchService>> ShardedSearchService::Build(
     service->shards_.push_back(std::move(engine));
   }
 
-  const size_t hardware = std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t threads =
-      service->options_.fanout_threads > 0
-          ? service->options_.fanout_threads
-          : std::max<size_t>(1, std::min(num_shards, hardware));
-  service->pool_ = std::make_unique<ThreadPool>(threads);
+  service->StartFanOutPool();
   service->num_items_.store(total, std::memory_order_release);
   return service;
 }
 
-void ShardedSearchService::RunFanOut(
-    size_t count, const std::function<void(size_t)>& fn) const {
-  FanOutOnPool(pool_.get(), count, fn);
+void ShardedSearchService::StartFanOutPool() {
+  const size_t hardware =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  const size_t threads =
+      options_.fanout_threads > 0
+          ? options_.fanout_threads
+          : std::max<size_t>(1, std::min(shards_.size(), hardware));
+  pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 bool ShardedSearchService::AnyShardHasGeoItems() const {
@@ -136,7 +169,7 @@ Result<QueryResult> ShardedSearchService::QueryShard(
     // single-node engine over the whole corpus would have executed the
     // hint, so substitute hybrid (exact, only the work profile differs).
     // When no shard has geo items (fallback not allowed) the whole corpus
-    // has none, and the hint must fail exactly like the local backend.
+    // has none, and the hint must fail exactly like a single engine.
     result = shards_[s]->Query(query, AlgorithmId::kHybrid, cancel);
   }
   if (!result.ok()) return result;
@@ -245,17 +278,21 @@ std::vector<Result<SearchResponse>> ShardedSearchService::ExecuteRequests(
     state->done.assign(rows, std::vector<char>(num_shards, 0));
     state->remaining.assign(rows, num_shards);
 
-    if (!any_deadline) {
-      // No deadline anywhere: flat barrier fan-out over (row x shard),
-      // one pool pass, caller participates. No locking needed — the
-      // barrier orders every write before the merge below.
-      RunFanOut(rows * num_shards, [&](size_t job) {
+    if (!any_deadline || num_shards == 1) {
+      // Barrier path: flat fan-out over (row x shard), one pool pass,
+      // caller participates. No locking needed — the barrier orders every
+      // write before the merge below. With one shard there is nothing to
+      // abandon, so deadlined rows take this path too: each row's single
+      // shard runs (on the calling thread for a lone request) under the
+      // row's own token and stops cooperatively when it expires.
+      FanOutOnPool(pool_.get(), rows * num_shards, [&](size_t job) {
         const size_t r = job / num_shards;
         const size_t s = job % num_shards;
+        const CancellationToken& token = state->tokens[r];
         state->results[r][s] = QueryShard(s, state->queries[r],
                                           state->hints[r],
                                           geo_fallback_allowed,
-                                          /*cancel=*/nullptr);
+                                          token.armed() ? &token : nullptr);
         state->done[r][s] = 1;
       });
       for (size_t r = 0; r < rows; ++r) state->remaining[r] = 0;
@@ -378,16 +415,18 @@ std::vector<Result<SearchResponse>> ShardedSearchService::ExecuteRequests(
       }
       std::sort(merged.begin(), merged.end(), ScoreOrder);
 
-      // Abandonment (a shard never reported before the deadline) is a
-      // deadline symptom; a shard ERROR is not — it must not masquerade
-      // as a timeout.
+      // Abandonment (a shard never reported before the deadline) and a
+      // shard cut short by its token (stats.truncated) are deadline
+      // symptoms; a shard ERROR is not — it must not masquerade as a
+      // timeout.
       const bool abandoned = completed < num_shards;
       auto finalize = [&](std::vector<ScoredItem> items) {
         response.items = std::move(items);
         response.elapsed_ms = watches[i].ElapsedMillis();
         response.deadline_exceeded =
-            abandoned || (request.timeout_ms > 0.0 &&
-                          response.elapsed_ms > request.timeout_ms);
+            abandoned || response.stats.truncated ||
+            (request.timeout_ms > 0.0 &&
+             response.elapsed_ms > request.timeout_ms);
         responses[i] = std::move(response);
       };
 
@@ -424,13 +463,15 @@ std::vector<Result<SearchResponse>> ShardedSearchService::ExecuteRequests(
         finalize(std::move(pending[r].best_diverse));
         continue;
       }
-      // Deepening past an already-blown deadline only digs the overrun
-      // deeper; return the best prefix in hand instead. A partial row
-      // (abandoned or errored shards) is likewise terminal — re-fanning
-      // deeper would just repeat the miss.
+      // Deepening past an already-blown deadline (or a round its token
+      // already truncated) only digs the overrun deeper; return the best
+      // prefix in hand instead. A partial row (abandoned or errored
+      // shards) is likewise terminal — re-fanning deeper would just
+      // repeat the miss.
       const bool deadline_passed =
-          request.timeout_ms > 0.0 &&
-          watches[i].ElapsedMillis() > request.timeout_ms;
+          response.stats.truncated ||
+          (request.timeout_ms > 0.0 &&
+           watches[i].ElapsedMillis() > request.timeout_ms);
       if (diverse.size() == request.query.k || all_exhausted || partial ||
           deadline_passed) {
         finalize(std::move(diverse));
@@ -465,7 +506,7 @@ Result<std::vector<TagSuggestion>> ShardedSearchService::SuggestTags(
 
   std::vector<Result<std::vector<TagSuggestion>>> per_shard(
       shards_.size(), Status::Internal("never executed"));
-  RunFanOut(shards_.size(), [&](size_t s) {
+  FanOutOnPool(pool_.get(), shards_.size(), [&](size_t s) {
     per_shard[s] = shards_[s]->SuggestTags(user, seed_tags, shard_options);
   });
 
@@ -649,13 +690,7 @@ ShardedSearchService::OpenSnapshot(
   service->num_items_.store(loaded.root.num_items,
                             std::memory_order_release);
 
-  const size_t hardware =
-      std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t threads =
-      service->options_.fanout_threads > 0
-          ? service->options_.fanout_threads
-          : std::max<size_t>(1, std::min(num_shards, hardware));
-  service->pool_ = std::make_unique<ThreadPool>(threads);
+  service->StartFanOutPool();
 
   // Replay the acknowledged ingest tail through the NORMAL mutators
   // (the WAL is not attached yet, so nothing is re-logged).
@@ -687,8 +722,8 @@ Status ShardedSearchService::Compact() {
   // Compactions are heavy and independent: run them in parallel. Each
   // engine handles its own concurrency with queries and ingest.
   std::vector<Status> statuses(shards_.size());
-  RunFanOut(shards_.size(),
-            [&](size_t s) { statuses[s] = shards_[s]->Compact(); });
+  FanOutOnPool(pool_.get(), shards_.size(),
+               [&](size_t s) { statuses[s] = shards_[s]->Compact(); });
   for (const Status& status : statuses) {
     AMICI_RETURN_IF_ERROR(status);
   }

@@ -29,8 +29,15 @@ namespace amici {
 /// the global top-k therefore also ranks in its own shard's top-k, so the
 /// union of per-shard top-k lists contains the global top-k, and merging
 /// on score reproduces it bit-for-bit (tests/service/
-/// sharded_invariance_test.cc asserts this against LocalSearchService
-/// for plain, diverse, geo-filtered and batch requests).
+/// sharded_invariance_test.cc asserts this against a bare
+/// SocialSearchEngine over the same corpus for plain, diverse,
+/// geo-filtered and batch requests).
+///
+/// One shard is the single-node deployment: the same code path with a
+/// trivial placement. Requests without a deadline, and every request at
+/// N=1, take the barrier fan-out (the calling thread runs a lone
+/// request's shard itself); a deadlined request's single shard stops
+/// cooperatively through its token.
 ///
 /// Id spaces: callers see GLOBAL ids, assigned densely in ingest order
 /// exactly like a single engine would. Internally each shard has its own
@@ -48,9 +55,9 @@ namespace amici {
 /// independently, so an ingest racing a query may be visible on some
 /// shards and not yet on others — each shard's contribution is exact for
 /// the state it pinned (the usual freshness relaxation of distributed
-/// search; quiesced states match the local backend: identical float
-/// scores at every rank, identical items except for selection among
-/// entries whose float-rounded scores tie exactly).
+/// search; quiesced states match a single engine over the whole corpus:
+/// identical float scores at every rank, identical items except for
+/// selection among entries whose float-rounded scores tie exactly).
 class ShardedSearchService final : public SearchService {
  public:
   struct Options {
@@ -164,9 +171,10 @@ class ShardedSearchService final : public SearchService {
 
   uint32_t ShardOf(ItemId global) const;
 
-  /// FanOutOnPool over this service's pool: fn(0) on the calling thread,
-  /// the rest on the workers, per-call completion tracking.
-  void RunFanOut(size_t count, const std::function<void(size_t)>& fn) const;
+  /// Creates the fan-out pool once shards_ is populated:
+  /// options_.fanout_threads workers, or min(num_shards, hardware
+  /// concurrency) when that is 0.
+  void StartFanOutPool();
 
   /// True when any shard's current snapshot covers geo items (the
   /// precondition for honouring a geo-grid hint somewhere).

@@ -19,7 +19,6 @@
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -175,14 +174,6 @@ std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
                                             size_t num_shards,
                                             bool enable_block_max) {
   Dataset dataset = GenerateDataset(config).value();
-  if (num_shards == 1) {
-    LocalSearchService::Options options;
-    options.engine = EngineOptions(enable_block_max);
-    auto service = LocalSearchService::Build(
-        std::move(dataset.graph), std::move(dataset.store), options);
-    EXPECT_TRUE(service.ok()) << service.status().ToString();
-    return std::move(service).value();
-  }
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
   options.engine = EngineOptions(enable_block_max);

@@ -3,7 +3,7 @@
 // indistinguishable — bit-identical responses, not merely equivalent —
 // from a twin engine that always REBUILDS its indexes from scratch,
 // under randomized interleavings of AddItems batches, friendship edits
-// and Compacts, on the local backend and on 2- and 4-shard services.
+// and Compacts, on 1-, 2- and 4-shard services.
 //
 // Why bit-identical is achievable: a merged posting list / owner bucket
 // / grid cell holds exactly the postings a rebuild would produce (the
@@ -22,7 +22,6 @@
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -41,22 +40,12 @@ DatasetConfig TestConfig(uint64_t seed) {
   return config;
 }
 
-/// Builds one backend over the (deterministically regenerated) dataset
-/// with the given forced compaction mode; num_shards == 0 selects the
-/// local backend.
+/// Builds one service over the (deterministically regenerated) dataset
+/// with the given forced compaction mode.
 std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
                                             size_t num_shards,
                                             CompactionMode mode) {
   Dataset dataset = GenerateDataset(config).value();
-  if (num_shards == 0) {
-    LocalSearchService::Options options;
-    options.engine.compaction_mode = mode;
-    auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                             std::move(dataset.store),
-                                             std::move(options));
-    EXPECT_TRUE(service.ok()) << service.status().ToString();
-    return std::move(service).value();
-  }
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
   options.engine.compaction_mode = mode;
@@ -168,10 +157,8 @@ void RunInvarianceWorkload(size_t num_shards, uint64_t seed) {
   auto rebuild_twin =
       BuildService(config, num_shards, CompactionMode::kAlwaysRebuild);
   const std::vector<SearchRequest> probes = BuildProbes(config);
-  const std::string label =
-      (num_shards == 0 ? std::string("local")
-                       : "sharded/" + std::to_string(num_shards)) +
-      " seed " + std::to_string(seed);
+  const std::string label = "sharded/" + std::to_string(num_shards) +
+                            " seed " + std::to_string(seed);
 
   ExpectIdenticalResponses(merge_twin.get(), rebuild_twin.get(), probes,
                            label + " fresh");
@@ -254,9 +241,9 @@ void RunInvarianceWorkload(size_t num_shards, uint64_t seed) {
   EXPECT_NE(merge_twin->StatsSummary().find("merge"), std::string::npos);
 }
 
-TEST(CompactionInvarianceTest, LocalMergeTwinMatchesRebuildTwin) {
-  RunInvarianceWorkload(0, 3u);
-  RunInvarianceWorkload(0, 23u);
+TEST(CompactionInvarianceTest, OneShardMergeTwinMatchesRebuildTwin) {
+  RunInvarianceWorkload(1, 3u);
+  RunInvarianceWorkload(1, 23u);
 }
 
 TEST(CompactionInvarianceTest, TwoShardMergeTwinMatchesRebuildTwin) {

@@ -1,6 +1,6 @@
 // CompactionPolicy decision table, CompactionScheduler behaviour against
 // a fake target (deterministic via PollOnce), and the end-to-end
-// background path against real Local / Sharded services: tails fold away
+// background path against real 1- and 3-shard services: tails fold away
 // without anyone calling Compact(), per shard, and the EngineStats
 // trigger inputs reset afterwards.
 
@@ -13,7 +13,6 @@
 #include "gtest/gtest.h"
 #include "ingest/compaction_policy.h"
 #include "ingest/compaction_scheduler.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 
@@ -154,21 +153,6 @@ Item RandomishItem(int i) {
   return item;
 }
 
-template <typename ServiceT>
-std::unique_ptr<ServiceT> BuildRealService(size_t shards);
-
-template <>
-std::unique_ptr<LocalSearchService> BuildRealService(size_t) {
-  DatasetConfig config = SmallDataset();
-  config.num_users = 150;
-  config.num_tags = 80;
-  Dataset dataset = GenerateDataset(config).value();
-  return LocalSearchService::Build(std::move(dataset.graph),
-                                   std::move(dataset.store))
-      .value();
-}
-
-template <>
 std::unique_ptr<ShardedSearchService> BuildRealService(size_t shards) {
   DatasetConfig config = SmallDataset();
   config.num_users = 150;
@@ -182,9 +166,8 @@ std::unique_ptr<ShardedSearchService> BuildRealService(size_t shards) {
       .value();
 }
 
-template <typename ServiceT>
 void RunAutoCompactionScenario(size_t shards) {
-  auto service = BuildRealService<ServiceT>(shards);
+  auto service = BuildRealService(shards);
   auto policy = std::make_shared<AdaptiveCompactionPolicy>(
       AdaptiveCompactionPolicy::Options{/*max_tail_items=*/40,
                                         /*max_tail_scan_ms=*/1e9,
@@ -236,12 +219,12 @@ void RunAutoCompactionScenario(size_t shards) {
   EXPECT_TRUE(service->Search(request).ok());
 }
 
-TEST(AutoCompactionTest, LocalBackendCompactsInTheBackground) {
-  RunAutoCompactionScenario<LocalSearchService>(1);
+TEST(AutoCompactionTest, OneShardCompactsInTheBackground) {
+  RunAutoCompactionScenario(1);
 }
 
 TEST(AutoCompactionTest, ShardedBackendCompactsPerShard) {
-  RunAutoCompactionScenario<ShardedSearchService>(3);
+  RunAutoCompactionScenario(3);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // the MPSC queue by CONCURRENT producers — with friendship edits in the
 // stream and background compaction firing mid-run — yields bit-identical
 // query results to the same corpus ingested by serial AddItems calls
-// followed by a manual Compact(), on the local and 1/2/4-shard backends.
+// followed by a manual Compact(), on 1/2/4-shard services.
 //
 // Method: every produced item carries a unique MARKER tag, so after
 // Flush() the actual (nondeterministic) interleave the queue admitted can
@@ -24,7 +24,6 @@
 
 #include "gtest/gtest.h"
 #include "ingest/compaction_policy.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -53,11 +52,6 @@ DatasetConfig TestConfig(uint64_t seed) {
 std::unique_ptr<SearchService> BuildBackend(const DatasetConfig& config,
                                             size_t shards) {
   Dataset dataset = GenerateDataset(config).value();
-  if (shards == 0) {
-    return LocalSearchService::Build(std::move(dataset.graph),
-                                     std::move(dataset.store))
-        .value();
-  }
   ShardedSearchService::Options options;
   options.num_shards = shards;
   return ShardedSearchService::Build(std::move(dataset.graph),
@@ -313,8 +307,8 @@ void RunScenario(size_t shards, BackpressureMode mode, uint64_t seed) {
   }
 }
 
-TEST(IngestInvarianceTest, LocalBackendBlockingQueue) {
-  RunScenario(/*shards=*/0, BackpressureMode::kBlock, /*seed=*/21);
+TEST(IngestInvarianceTest, OneShardBlockingQueue) {
+  RunScenario(/*shards=*/1, BackpressureMode::kBlock, /*seed=*/21);
 }
 
 TEST(IngestInvarianceTest, OneShardCoalescingQueue) {

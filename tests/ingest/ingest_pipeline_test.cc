@@ -9,7 +9,7 @@
 
 #include "gtest/gtest.h"
 #include "ingest/ingest_pipeline.h"
-#include "service/local_search_service.h"
+#include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 
 namespace amici {
@@ -157,14 +157,17 @@ TEST(ApplyIngestOpsTest, EditErrorsLandOnTheirTickets) {
 
 // --- Pipeline-with-writer-thread tests against a real service ----------
 
-std::unique_ptr<LocalSearchService> BuildService() {
+std::unique_ptr<ShardedSearchService> BuildService() {
   DatasetConfig config = SmallDataset();
   config.num_users = 200;
   config.num_tags = 100;
   config.items_per_user = 2.0;
   Dataset dataset = GenerateDataset(config).value();
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  auto service = ShardedSearchService::Build(std::move(dataset.graph),
+                                             std::move(dataset.store),
+                                             std::move(options));
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return std::move(service).value();
 }

@@ -7,12 +7,20 @@
 
 #include "graph/graph_io.h"
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
+#include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
 
 namespace amici {
 namespace {
+
+Result<std::unique_ptr<ShardedSearchService>> BuildOneShard(SocialGraph graph,
+                                                            ItemStore store) {
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  return ShardedSearchService::Build(std::move(graph), std::move(store),
+                                     std::move(options));
+}
 
 TEST(EngineLifecycleTest, PersistRebuildQueryIngestCompact) {
   DatasetConfig config = SmallDataset();
@@ -28,8 +36,8 @@ TEST(EngineLifecycleTest, PersistRebuildQueryIngestCompact) {
   ASSERT_TRUE(loaded.ok());
   std::remove(path.c_str());
 
-  auto service = LocalSearchService::Build(std::move(loaded).value(),
-                                           std::move(dataset.store));
+  auto service =
+      BuildOneShard(std::move(loaded).value(), std::move(dataset.store));
   ASSERT_TRUE(service.ok());
 
   // Baseline query.
@@ -95,8 +103,8 @@ TEST(EngineLifecycleTest, EmptyTailCompactionIsIdempotent) {
   DatasetConfig config = SmallDataset();
   config.num_users = 100;
   Dataset dataset = GenerateDataset(config).value();
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
+  auto service =
+      BuildOneShard(std::move(dataset.graph), std::move(dataset.store));
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE(service.value()->Compact().ok());
   ASSERT_TRUE(service.value()->Compact().ok());
@@ -108,8 +116,8 @@ TEST(EngineLifecycleTest, ManyIngestCompactCycles) {
   config.num_users = 100;
   config.items_per_user = 2.0;
   Dataset dataset = GenerateDataset(config).value();
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
+  auto service =
+      BuildOneShard(std::move(dataset.graph), std::move(dataset.store));
   ASSERT_TRUE(service.ok());
 
   SearchRequest request;

@@ -11,12 +11,12 @@
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "proximity/common_neighbors.h"
 #include "proximity/hop_decay.h"
 #include "proximity/katz.h"
 #include "proximity/ppr_forward_push.h"
 #include "proximity/ppr_monte_carlo.h"
+#include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
 
@@ -80,11 +80,12 @@ TEST_P(ExactnessTest, AllAlgorithmsMatchOracle) {
   config.seed = param.seed;
   Dataset dataset = GenerateDataset(config).value();
 
-  LocalSearchService::Options options;
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
   options.engine.proximity_model = MakeModel(param.proximity_kind);
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store),
-                                           std::move(options));
+  auto service = ShardedSearchService::Build(std::move(dataset.graph),
+                                             std::move(dataset.store),
+                                             std::move(options));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   QueryWorkloadConfig workload;

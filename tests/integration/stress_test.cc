@@ -8,13 +8,23 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
+#include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
 
 namespace amici {
 namespace {
+
+Result<std::unique_ptr<ShardedSearchService>> BuildOneShard(
+    Dataset dataset, size_t fanout_threads = 0) {
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  options.fanout_threads = fanout_threads;
+  return ShardedSearchService::Build(std::move(dataset.graph),
+                                     std::move(dataset.store),
+                                     std::move(options));
+}
 
 TEST(StressTest, MutationsNeverBreakExactness) {
   DatasetConfig config = SmallDataset();
@@ -25,8 +35,7 @@ TEST(StressTest, MutationsNeverBreakExactness) {
   Dataset dataset = GenerateDataset(config).value();
   Dataset workload_view = GenerateDataset(config).value();
 
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
+  auto service = BuildOneShard(std::move(dataset));
   ASSERT_TRUE(service.ok());
 
   QueryWorkloadConfig workload;
@@ -107,11 +116,7 @@ TEST(StressTest, SearchBatchMatchesSerialExecution) {
   config.num_users = 300;
   Dataset dataset = GenerateDataset(config).value();
   Dataset workload_view = GenerateDataset(config).value();
-  LocalSearchService::Options options;
-  options.batch_threads = 8;
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store),
-                                           std::move(options));
+  auto service = BuildOneShard(std::move(dataset), /*fanout_threads=*/8);
   ASSERT_TRUE(service.ok());
 
   QueryWorkloadConfig workload;

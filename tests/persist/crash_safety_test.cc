@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "persist/manifest.h"
 #include "persist/segment.h"
 #include "persist/wal.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -56,6 +56,16 @@ uint64_t FileSize(const std::string& path) {
   return static_cast<uint64_t>(file.tellg());
 }
 
+Result<std::unique_ptr<ShardedSearchService>> BuildOneShard(
+    const DatasetConfig& config) {
+  Dataset dataset = GenerateDataset(config).value();
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  return ShardedSearchService::Build(std::move(dataset.graph),
+                                     std::move(dataset.store),
+                                     std::move(options));
+}
+
 Item SimpleItem(UserId owner, TagId tag, float quality) {
   Item item;
   item.owner = owner;
@@ -65,10 +75,7 @@ Item SimpleItem(UserId owner, TagId tag, float quality) {
 }
 
 TEST(CrashSafetyTest, TruncatedWalTailReopensToCommittedPrefix) {
-  const DatasetConfig config = TestConfig(3);
-  Dataset dataset = GenerateDataset(config).value();
-  auto live = LocalSearchService::Build(std::move(dataset.graph),
-                                        std::move(dataset.store));
+  auto live = BuildOneShard(TestConfig(3));
   ASSERT_TRUE(live.ok());
   const size_t base_items = live.value()->num_items();
   const std::string dir = TempDir("torn_wal");
@@ -90,8 +97,8 @@ TEST(CrashSafetyTest, TruncatedWalTailReopensToCommittedPrefix) {
   ASSERT_EQ(::truncate(wal_path.c_str(), static_cast<off_t>(size - 3)), 0);
 
   persist::WalReplayStats stats;
-  auto twin = LocalSearchService::OpenSnapshot(
-      dir, LocalSearchService::Options(), persist::SnapshotOpenOptions(),
+  auto twin = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options(), persist::SnapshotOpenOptions(),
       &stats);
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
   EXPECT_TRUE(stats.torn_tail);
@@ -103,8 +110,8 @@ TEST(CrashSafetyTest, TruncatedWalTailReopensToCommittedPrefix) {
   ASSERT_TRUE(readd.ok()) << readd.status().ToString();
   EXPECT_EQ(readd.value(), base_items + 4);
 
-  auto again = LocalSearchService::OpenSnapshot(
-      dir, LocalSearchService::Options());
+  auto again = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options());
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again.value()->num_items(), base_items + 5);
 }
@@ -145,10 +152,7 @@ TEST(CrashSafetyTest, BitFlippedSegmentPayloadIsRejected) {
 }
 
 TEST(CrashSafetyTest, BitFlippedManifestIsRejected) {
-  const DatasetConfig config = TestConfig(9);
-  Dataset dataset = GenerateDataset(config).value();
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
+  auto service = BuildOneShard(TestConfig(9));
   ASSERT_TRUE(service.ok());
   const std::string dir = TempDir("manifest_flip");
   const auto report = service.value()->SaveSnapshot(dir);
@@ -157,8 +161,8 @@ TEST(CrashSafetyTest, BitFlippedManifestIsRejected) {
   const std::string manifest_path = persist::JoinPath(
       dir, persist::ManifestFileName(report.value().generation));
   FlipByte(manifest_path, FileSize(manifest_path) / 2);
-  const auto twin = LocalSearchService::OpenSnapshot(
-      dir, LocalSearchService::Options());
+  const auto twin = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options());
   ASSERT_FALSE(twin.ok());
   EXPECT_EQ(twin.status().code(), StatusCode::kCorruption)
       << twin.status().ToString();
@@ -228,8 +232,8 @@ TEST(CrashSafetyTest, MissingCurrentIsCleanError) {
   EXPECT_FALSE(SocialSearchEngine::OpenSnapshot(
                    dir, SocialSearchEngine::Options())
                    .ok());
-  EXPECT_FALSE(LocalSearchService::OpenSnapshot(
-                   dir, LocalSearchService::Options())
+  EXPECT_FALSE(ShardedSearchService::OpenSnapshot(
+                   dir, ShardedSearchService::Options())
                    .ok());
 }
 

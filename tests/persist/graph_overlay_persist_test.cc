@@ -13,7 +13,7 @@
 #include "gtest/gtest.h"
 #include "persist/snapshot.h"
 #include "proximity_service/delta_overlay_graph.h"
-#include "service/local_search_service.h"
+#include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 
@@ -106,8 +106,11 @@ TEST(GraphOverlayPersistTest, ServiceSnapshotCarriesUnfoldedOverlay) {
   config.seed = 77;
   Dataset dataset = GenerateDataset(config).value();
 
-  auto live = LocalSearchService::Build(std::move(dataset.graph),
-                                        std::move(dataset.store));
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  auto live = ShardedSearchService::Build(std::move(dataset.graph),
+                                          std::move(dataset.store),
+                                          std::move(options));
   ASSERT_TRUE(live.ok()) << live.status().ToString();
 
   // Churn friendships so the provider holds an unfolded patch (the
@@ -130,8 +133,8 @@ TEST(GraphOverlayPersistTest, ServiceSnapshotCarriesUnfoldedOverlay) {
   (void)std::system(("rm -rf " + dir).c_str());
   ASSERT_TRUE(live.value()->SaveSnapshot(dir).ok());
 
-  auto twin = LocalSearchService::OpenSnapshot(
-      dir, LocalSearchService::Options());
+  auto twin = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options());
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
 
   // The patch survived the round trip unfolded...

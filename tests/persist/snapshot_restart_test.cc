@@ -18,7 +18,6 @@
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -165,8 +164,11 @@ TEST(SnapshotRestartTest, EngineTwinMatchesAcrossStrategiesAndModes) {
 TEST(SnapshotRestartTest, EngineRejectsServiceRootDirectory) {
   const DatasetConfig config = TestConfig(6);
   Dataset dataset = GenerateDataset(config).value();
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  auto service = ShardedSearchService::Build(std::move(dataset.graph),
+                                             std::move(dataset.store),
+                                             std::move(options));
   ASSERT_TRUE(service.ok());
   const std::string dir = TempDir("engine_vs_service");
   ASSERT_TRUE(service.value()->SaveSnapshot(dir).ok());
@@ -180,12 +182,6 @@ TEST(SnapshotRestartTest, EngineRejectsServiceRootDirectory) {
 std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
                                             size_t num_shards) {
   Dataset dataset = GenerateDataset(config).value();
-  if (num_shards == 1) {
-    auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                             std::move(dataset.store));
-    EXPECT_TRUE(service.ok()) << service.status().ToString();
-    return std::move(service).value();
-  }
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
   auto service = ShardedSearchService::Build(std::move(dataset.graph),
@@ -195,14 +191,7 @@ std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
   return std::move(service).value();
 }
 
-std::unique_ptr<SearchService> OpenService(const std::string& dir,
-                                           size_t num_shards) {
-  if (num_shards == 1) {
-    auto twin =
-        LocalSearchService::OpenSnapshot(dir, LocalSearchService::Options());
-    EXPECT_TRUE(twin.ok()) << twin.status().ToString();
-    return twin.ok() ? std::move(twin).value() : nullptr;
-  }
+std::unique_ptr<SearchService> OpenService(const std::string& dir) {
   auto twin = ShardedSearchService::OpenSnapshot(
       dir, ShardedSearchService::Options());
   EXPECT_TRUE(twin.ok()) << twin.status().ToString();
@@ -264,7 +253,7 @@ TEST(SnapshotRestartTest, ServiceTwinsAcrossShardCounts) {
     const auto report = live->SaveSnapshot(dir);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     {
-      auto twin = OpenService(dir, num_shards);
+      auto twin = OpenService(dir);
       ASSERT_NE(twin, nullptr);
       EXPECT_EQ(twin->num_shards(), num_shards);
       ExpectServiceTwin(live.get(), twin.get(), requests, "fresh");
@@ -306,20 +295,11 @@ TEST(SnapshotRestartTest, ServiceTwinsAcrossShardCounts) {
     }
     {
       persist::WalReplayStats stats;
-      std::unique_ptr<SearchService> twin;
-      if (num_shards == 1) {
-        auto opened = LocalSearchService::OpenSnapshot(
-            dir, LocalSearchService::Options(),
-            persist::SnapshotOpenOptions(), &stats);
-        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-        twin = std::move(opened).value();
-      } else {
-        auto opened = ShardedSearchService::OpenSnapshot(
-            dir, ShardedSearchService::Options(),
-            persist::SnapshotOpenOptions(), &stats);
-        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-        twin = std::move(opened).value();
-      }
+      auto opened = ShardedSearchService::OpenSnapshot(
+          dir, ShardedSearchService::Options(),
+          persist::SnapshotOpenOptions(), &stats);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      const auto twin = std::move(opened).value();
       EXPECT_GT(stats.records_applied, 0u) << "tail was not replayed";
       ExpectServiceTwin(live.get(), twin.get(), requests, "wal-replay");
     }
@@ -332,7 +312,7 @@ TEST(SnapshotRestartTest, ServiceTwinsAcrossShardCounts) {
     ASSERT_TRUE(second.ok()) << second.status().ToString();
     EXPECT_GT(second.value().generation, report.value().generation);
     {
-      auto twin = OpenService(dir, num_shards);
+      auto twin = OpenService(dir);
       ASSERT_NE(twin, nullptr);
       EXPECT_EQ(twin->unindexed_items(), 0u);
       ExpectServiceTwin(live.get(), twin.get(), requests, "post-compact");
@@ -340,32 +320,29 @@ TEST(SnapshotRestartTest, ServiceTwinsAcrossShardCounts) {
   }
 }
 
-TEST(SnapshotRestartTest, ShardCountMismatchesAreRejected) {
+TEST(SnapshotRestartTest, ShardCountComesFromTheManifest) {
   const DatasetConfig config = TestConfig(23);
   auto sharded = BuildService(config, 2);
   const std::string dir = TempDir("mismatch");
   ASSERT_TRUE(sharded->SaveSnapshot(dir).ok());
 
-  // A 2-shard root is not a local snapshot...
-  EXPECT_FALSE(
-      LocalSearchService::OpenSnapshot(dir, LocalSearchService::Options())
-          .ok());
-  // ...but the sharded opener takes its shard count from the manifest.
-  auto twin = ShardedSearchService::OpenSnapshot(
-      dir, ShardedSearchService::Options());
+  // The opener takes its shard count from the root manifest, whatever
+  // options.num_shards says.
+  ShardedSearchService::Options one_shard;
+  one_shard.num_shards = 1;
+  auto twin = ShardedSearchService::OpenSnapshot(dir, one_shard);
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
   EXPECT_EQ(twin.value()->num_shards(), 2u);
 
-  // The layout is uniform, so the sharded opener handles a 1-shard
-  // (local) root too — it simply becomes a single-shard deployment.
-  auto local = BuildService(config, 1);
-  const std::string local_dir = TempDir("mismatch_local");
-  ASSERT_TRUE(local->SaveSnapshot(local_dir).ok());
+  // The layout is uniform, so a 1-shard root reopens the same way.
+  auto single = BuildService(config, 1);
+  const std::string single_dir = TempDir("mismatch_single");
+  ASSERT_TRUE(single->SaveSnapshot(single_dir).ok());
   auto one = ShardedSearchService::OpenSnapshot(
-      local_dir, ShardedSearchService::Options());
+      single_dir, ShardedSearchService::Options());
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   EXPECT_EQ(one.value()->num_shards(), 1u);
-  EXPECT_EQ(one.value()->num_items(), local->num_items());
+  EXPECT_EQ(one.value()->num_items(), single->num_items());
 }
 
 TEST(SnapshotRestartTest, ReopenedServiceKeepsLoggingAndReopens) {
@@ -376,7 +353,7 @@ TEST(SnapshotRestartTest, ReopenedServiceKeepsLoggingAndReopens) {
   const std::string dir = TempDir("relog");
   ASSERT_TRUE(live->SaveSnapshot(dir).ok());
 
-  auto first = OpenService(dir, 2);
+  auto first = OpenService(dir);
   ASSERT_NE(first, nullptr);
   Item item;
   item.owner = 3;
@@ -386,7 +363,7 @@ TEST(SnapshotRestartTest, ReopenedServiceKeepsLoggingAndReopens) {
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(first->AddFriendship(2, 9).ok());
 
-  auto second = OpenService(dir, 2);
+  auto second = OpenService(dir);
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->num_items(), first->num_items());
   EXPECT_EQ(second->OwnerOf(id.value()), 3u);

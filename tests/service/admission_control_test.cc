@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
+#include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 
 namespace amici {
@@ -113,14 +113,17 @@ TEST(AdmissionControllerTest, PressureDegradesBeforeInflightSheds) {
 
 // --- Service-level: the QoS edge applies verdicts honestly --------------
 
-std::unique_ptr<LocalSearchService> BuildService() {
+std::unique_ptr<ShardedSearchService> BuildService() {
   DatasetConfig config = SmallDataset();
   config.num_users = 300;
   config.num_tags = 60;
   config.seed = 11;
   Dataset dataset = GenerateDataset(config).value();
-  return LocalSearchService::Build(std::move(dataset.graph),
-                                   std::move(dataset.store))
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  return ShardedSearchService::Build(std::move(dataset.graph),
+                                     std::move(dataset.store),
+                                     std::move(options))
       .value();
 }
 
@@ -150,7 +153,7 @@ TEST(AdmissionServiceTest, ShedResponseIsWellFormedAndCounted) {
   EXPECT_TRUE(shed.value().shed);
   EXPECT_TRUE(shed.value().items.empty());
   EXPECT_EQ(shed.value().shards_touched, 0u);
-  EXPECT_EQ(shed.value().backend, "local");
+  EXPECT_EQ(shed.value().backend, "sharded/1");
   EXPECT_FALSE(shed.value().degraded);
 
   const auto qos = service->qos_counters();

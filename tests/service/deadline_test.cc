@@ -1,7 +1,9 @@
-// SearchRequest::timeout_ms on the sharded backend: the fan-out loop
-// checks the deadline between per-shard completions and returns a PARTIAL
-// response (the exact merge of the shards that completed in time) instead
-// of waiting for stragglers and reporting the overrun post-hoc.
+// SearchRequest::timeout_ms on the sharded service: with several shards
+// the fan-out loop checks the deadline between per-shard completions and
+// returns a PARTIAL response (the exact merge of the shards that completed
+// in time) instead of waiting for stragglers and reporting the overrun
+// post-hoc. With one shard nothing is abandoned: the shard's algorithm
+// stops cooperatively under the row's token and returns its best effort.
 //
 // Determinism: a proximity model that sleeps makes every shard's first
 // query for a user predictably slow, so a small deadline reliably expires
@@ -15,7 +17,6 @@
 
 #include "gtest/gtest.h"
 #include "proximity/common_neighbors.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 
@@ -167,7 +168,7 @@ TEST(ShardedDeadlineTest, BatchMixesZeroTightAndGenerousDeadlines) {
 
 // --- Mid-algorithm cancellation (inside one shard) ----------------------
 
-std::unique_ptr<LocalSearchService> BuildBigLocalService(
+std::unique_ptr<ShardedSearchService> BuildBigOneShardService(
     std::chrono::milliseconds nap) {
   // Big enough that an untimed query decodes MANY posting-list blocks —
   // the truncation twin below needs headroom to be strictly cheaper.
@@ -176,18 +177,19 @@ std::unique_ptr<LocalSearchService> BuildBigLocalService(
   config.num_tags = 50;
   config.seed = 13;
   Dataset dataset = GenerateDataset(config).value();
-  LocalSearchService::Options options;
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
   options.engine.proximity_model = std::make_shared<SleepyProximityModel>(
       std::make_shared<CommonNeighborsProximity>(), nap);
-  return LocalSearchService::Build(std::move(dataset.graph),
-                                   std::move(dataset.store),
-                                   std::move(options))
+  return ShardedSearchService::Build(std::move(dataset.graph),
+                                     std::move(dataset.store),
+                                     std::move(options))
       .value();
 }
 
-SearchRequest CommonTagRequest(double timeout_ms) {
+SearchRequest CommonTagRequest(double timeout_ms, UserId user = 42) {
   SearchRequest request;
-  request.query.user = 42;
+  request.query.user = user;
   request.query.tags = {0};  // Zipf head: the longest posting list
   request.query.k = 10;
   request.query.alpha = 0.5;
@@ -201,7 +203,7 @@ TEST(MidShardCancellationTest, ExpiredDeadlineStopsInsideTheAlgorithm) {
   // query path, before the algorithm runs — so a deadline shorter than
   // the nap is deterministically expired when the algorithm starts: the
   // very first cooperative probe fires and the scan stops mid-run.
-  auto service = BuildBigLocalService(std::chrono::milliseconds(30));
+  auto service = BuildBigOneShardService(std::chrono::milliseconds(30));
 
   // Tight twin FIRST: its proximity cache miss naps 30ms, so the 5ms
   // token is deterministically expired when the scan starts. (The other
@@ -210,6 +212,11 @@ TEST(MidShardCancellationTest, ExpiredDeadlineStopsInsideTheAlgorithm) {
   ASSERT_TRUE(tight.ok()) << tight.status().ToString();
   EXPECT_TRUE(tight.value().stats.truncated);
   EXPECT_TRUE(tight.value().deadline_exceeded);
+  // The one shard was cut short, not abandoned: it reported, and its
+  // best-effort prefix is the answer.
+  EXPECT_EQ(tight.value().shards_abandoned, 0u);
+  EXPECT_EQ(tight.value().shards_touched, 1u);
+  EXPECT_FALSE(tight.value().items.empty());
 
   const auto full = service->Search(CommonTagRequest(/*timeout_ms=*/0.0));
   ASSERT_TRUE(full.ok()) << full.status().ToString();
@@ -221,6 +228,32 @@ TEST(MidShardCancellationTest, ExpiredDeadlineStopsInsideTheAlgorithm) {
             full.value().stats.aggregation.blocks_decoded);
   EXPECT_LT(tight.value().stats.items_considered,
             full.value().stats.items_considered);
+}
+
+TEST(MidShardCancellationTest, OneShardBatchRowsKeepTheirOwnTokens) {
+  auto service = BuildBigOneShardService(std::chrono::milliseconds(30));
+  // Distinct users: every row pays its own 30ms proximity nap, so only
+  // the tight row's token has expired when its scan starts. The tight row
+  // goes last, so it is still running when the other rows are done: it
+  // must come back cut short by its own token, never abandoned.
+  std::vector<SearchRequest> requests;
+  requests.push_back(CommonTagRequest(/*timeout_ms=*/60000.0, /*user=*/43));
+  requests.push_back(CommonTagRequest(/*timeout_ms=*/0.0, /*user=*/44));
+  requests.push_back(CommonTagRequest(/*timeout_ms=*/5.0, /*user=*/45));
+  const auto responses = service->SearchBatch(requests);
+  ASSERT_EQ(responses.size(), 3u);
+  for (const auto& response : responses) {
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().shards_abandoned, 0u);
+    EXPECT_EQ(response.value().shards_touched, 1u);
+    EXPECT_FALSE(response.value().items.empty());
+  }
+  EXPECT_FALSE(responses[0].value().stats.truncated);
+  EXPECT_FALSE(responses[0].value().deadline_exceeded);
+  EXPECT_FALSE(responses[1].value().stats.truncated);
+  EXPECT_FALSE(responses[1].value().deadline_exceeded);
+  EXPECT_TRUE(responses[2].value().stats.truncated);
+  EXPECT_TRUE(responses[2].value().deadline_exceeded);
 }
 
 // --- Invariance: a token that never fires changes nothing ---------------

@@ -23,7 +23,6 @@
 
 #include "gtest/gtest.h"
 #include "proximity_service/overlay_fold_policy.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -54,19 +53,25 @@ struct Backend {
   bool expect_folds = false;
 };
 
-std::unique_ptr<SearchService> BuildSharded(const DatasetConfig& config,
-                                            size_t shards) {
+/// The serial single-engine reference every backend must track.
+std::unique_ptr<SocialSearchEngine> BuildEngine(const DatasetConfig& config) {
   // The generator is deterministic: every backend consumes the identical
   // corpus and graph.
   Dataset dataset = GenerateDataset(config).value();
-  if (shards == 0) {
-    auto local = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
-    EXPECT_TRUE(local.ok()) << local.status().ToString();
-    return std::move(local).value();
-  }
+  auto engine = SocialSearchEngine::Build(std::move(dataset.graph),
+                                          std::move(dataset.store),
+                                          SocialSearchEngine::Options());
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return std::move(engine).value();
+}
+
+std::unique_ptr<SearchService> BuildSharded(
+    const DatasetConfig& config, size_t shards,
+    SocialSearchEngine::Options engine_options = {}) {
+  Dataset dataset = GenerateDataset(config).value();
   ShardedSearchService::Options options;
   options.num_shards = shards;
+  options.engine = std::move(engine_options);
   auto sharded = ShardedSearchService::Build(std::move(dataset.graph),
                                              std::move(dataset.store),
                                              std::move(options));
@@ -77,22 +82,17 @@ std::unique_ptr<SearchService> BuildSharded(const DatasetConfig& config,
 std::unique_ptr<SearchService> BuildPartitioned(const DatasetConfig& config,
                                                 size_t partitions,
                                                 bool aggressive_folds) {
-  Dataset dataset = GenerateDataset(config).value();
-  LocalSearchService::Options options;
-  options.engine.proximity_partitions = partitions;
+  SocialSearchEngine::Options options;
+  options.proximity_partitions = partitions;
   if (aggressive_folds) {
     // Fold after a handful of patched rows, so the run folds many times
     // mid-churn instead of once at the end.
     AdaptiveOverlayFoldPolicy::Options fold;
     fold.max_patch_rows = 6;
-    options.engine.proximity_fold_policy =
+    options.proximity_fold_policy =
         std::make_shared<AdaptiveOverlayFoldPolicy>(fold);
   }
-  auto local = LocalSearchService::Build(std::move(dataset.graph),
-                                         std::move(dataset.store),
-                                         std::move(options));
-  EXPECT_TRUE(local.ok()) << local.status().ToString();
-  return std::move(local).value();
+  return BuildSharded(config, /*shards=*/1, std::move(options));
 }
 
 std::vector<Backend> BuildFleet(const DatasetConfig& config) {
@@ -143,7 +143,7 @@ std::vector<SearchRequest> ProbeRequests(uint64_t seed, size_t num_users) {
 /// sharded_invariance_test: scores must match bit-for-bit at every rank;
 /// item ids must match wherever the score is unique and above the k-th
 /// score's tie class.
-void ExpectSameResponse(const Result<SearchResponse>& expected,
+void ExpectSameResponse(const Result<QueryResult>& expected,
                         const Result<SearchResponse>& actual,
                         const std::string& label) {
   ASSERT_EQ(expected.ok(), actual.ok())
@@ -173,11 +173,11 @@ TEST(FriendshipChurnInvarianceTest, InterleavedEditsAndQueriesStayIdentical) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const DatasetConfig config = TestConfig(seed);
 
-    // Reference: the serial single-engine replay (local backend). Every
-    // fleet variant must track it through every edit.
-    auto reference = BuildSharded(config, 0);
+    // Reference: the serial replay on one bare engine. Every fleet
+    // variant must track it through every edit.
+    auto reference = BuildEngine(config);
     std::vector<Backend> fleet = BuildFleet(config);
-    const size_t num_users = reference->num_users();
+    const size_t num_users = reference->snapshot()->graph->num_users();
 
     Rng rng(seed * 31 + 7);
     // Edges we added and can later remove (removing a random pair is
@@ -227,7 +227,7 @@ TEST(FriendshipChurnInvarianceTest, InterleavedEditsAndQueriesStayIdentical) {
       const std::vector<SearchRequest> requests =
           ProbeRequests(seed * 131 + static_cast<uint64_t>(step), num_users);
       for (size_t i = 0; i < requests.size(); ++i) {
-        const auto want = reference->Search(requests[i]);
+        const auto want = reference->Query(requests[i].query);
         for (const auto& backend : fleet) {
           ExpectSameResponse(
               want, backend.service->Search(requests[i]),
@@ -242,14 +242,17 @@ TEST(FriendshipChurnInvarianceTest, InterleavedEditsAndQueriesStayIdentical) {
     for (const auto& backend : fleet) {
       const ProximityProviderStats stats =
           backend.service->proximity_stats();
-      EXPECT_EQ(reference->proximity_stats().generations_published,
+      EXPECT_EQ(reference->shared_proximity()->stats().generations_published,
                 stats.generations_published)
           << backend.label;
       if (backend.expect_folds) {
         EXPECT_GT(stats.overlay_folds, 0u) << backend.label;
       }
+      const auto snapshot = reference->snapshot();
       for (UserId user = 0; user < 10; ++user) {
-        EXPECT_EQ(reference->FriendsOf(user), backend.service->FriendsOf(user))
+        const auto friends = snapshot->graph->Friends(user);
+        EXPECT_EQ(std::vector<UserId>(friends.begin(), friends.end()),
+                  backend.service->FriendsOf(user))
             << backend.label << " user " << user;
       }
     }

@@ -13,7 +13,6 @@
 
 #include "gtest/gtest.h"
 #include "proximity/hop_decay.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 

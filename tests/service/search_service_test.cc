@@ -1,15 +1,15 @@
-// Contract tests for the SearchService surface, run against BOTH
-// backends: labels, global id assignment, request options (algorithm
-// hint, max_per_owner, deadline stub), error propagation, and the
+// Contract tests for the SearchService surface, run at one and at three
+// shards: labels, global id assignment, request options (algorithm hint,
+// max_per_owner, deadline stub), error propagation, and the
 // all-or-nothing AddItems batch.
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "workload/dataset_generator.h"
 
@@ -26,32 +26,23 @@ DatasetConfig ContractConfig() {
   return config;
 }
 
-std::unique_ptr<SearchService> BuildBackend(bool sharded) {
+std::unique_ptr<SearchService> BuildBackend(size_t num_shards) {
   Dataset dataset = GenerateDataset(ContractConfig()).value();
-  if (!sharded) {
-    return LocalSearchService::Build(std::move(dataset.graph),
-                                     std::move(dataset.store))
-        .value();
-  }
   ShardedSearchService::Options options;
-  options.num_shards = 3;
+  options.num_shards = num_shards;
   return ShardedSearchService::Build(std::move(dataset.graph),
                                      std::move(dataset.store),
                                      std::move(options))
       .value();
 }
 
-class SearchServiceContractTest : public ::testing::TestWithParam<bool> {};
+class SearchServiceContractTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SearchServiceContractTest, BackendIdentity) {
   const auto service = BuildBackend(GetParam());
-  if (GetParam()) {
-    EXPECT_EQ(service->backend_name(), "sharded/3");
-    EXPECT_EQ(service->num_shards(), 3u);
-  } else {
-    EXPECT_EQ(service->backend_name(), "local");
-    EXPECT_EQ(service->num_shards(), 1u);
-  }
+  EXPECT_EQ(service->backend_name(),
+            "sharded/" + std::to_string(GetParam()));
+  EXPECT_EQ(service->num_shards(), GetParam());
   EXPECT_EQ(service->num_users(), 200u);
   EXPECT_GT(service->num_items(), 0u);
 }
@@ -223,10 +214,10 @@ TEST_P(SearchServiceContractTest, FriendshipEditsFollowEngineSemantics) {
   EXPECT_EQ(service->RemoveFriendship(u, v).code(), StatusCode::kNotFound);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, SearchServiceContractTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Sharded" : "Local";
+INSTANTIATE_TEST_SUITE_P(ShardCounts, SearchServiceContractTest,
+                         ::testing::Values(size_t{1}, size_t{3}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "Shards" + std::to_string(info.param);
                          });
 
 }  // namespace

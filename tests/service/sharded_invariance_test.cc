@@ -1,8 +1,9 @@
 // The acceptance property of the service redesign: a ShardedSearchService
-// over ANY shard count returns bit-identical top-k (items AND scores) to
-// LocalSearchService on the same corpus — for plain, owner-diversified,
-// geo-filtered and batch requests, across algorithm hints, and across
-// mutations (ingest, friendship churn, per-backend compaction).
+// over ANY shard count (1 included) returns bit-identical top-k (items AND
+// scores) to a bare SocialSearchEngine on the same corpus — for plain,
+// owner-diversified, geo-filtered and batch requests, across algorithm
+// hints, and across mutations (ingest, friendship churn, per-service
+// compaction).
 //
 // Why bit-identical is achievable: the graph is replicated to every
 // shard, so proximity vectors — and hence every blended score — are
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -35,18 +35,19 @@ DatasetConfig TestConfig(uint64_t seed) {
   return config;
 }
 
-std::unique_ptr<SearchService> BuildLocal(const DatasetConfig& config) {
+std::unique_ptr<SocialSearchEngine> BuildEngine(const DatasetConfig& config) {
   Dataset dataset = GenerateDataset(config).value();
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
-  EXPECT_TRUE(service.ok()) << service.status().ToString();
-  return std::move(service).value();
+  auto engine = SocialSearchEngine::Build(std::move(dataset.graph),
+                                          std::move(dataset.store),
+                                          SocialSearchEngine::Options());
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return std::move(engine).value();
 }
 
 std::unique_ptr<SearchService> BuildSharded(const DatasetConfig& config,
                                             size_t num_shards) {
   // The generator is deterministic: regenerating yields the identical
-  // corpus the local backend consumed.
+  // corpus the reference engine consumed.
   Dataset dataset = GenerateDataset(config).value();
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
@@ -121,7 +122,19 @@ std::vector<SearchRequest> BuildRequests(const DatasetConfig& config) {
   return requests;
 }
 
-void ExpectSameResponse(const Result<SearchResponse>& expected,
+/// The bit-identity reference: `request` executed directly on one engine
+/// over the whole corpus.
+Result<QueryResult> EngineSearch(SocialSearchEngine* engine,
+                                 const SearchRequest& request) {
+  const AlgorithmId algorithm =
+      request.algorithm.value_or(AlgorithmId::kHybrid);
+  return request.max_per_owner > 0
+             ? engine->QueryDiverse(request.query, request.max_per_owner,
+                                    algorithm)
+             : engine->Query(request.query, algorithm);
+}
+
+void ExpectSameResponse(const Result<QueryResult>& expected,
                         const Result<SearchResponse>& actual,
                         const std::string& label) {
   ASSERT_EQ(expected.ok(), actual.ok())
@@ -154,14 +167,14 @@ void ExpectSameResponse(const Result<SearchResponse>& expected,
   }
 }
 
-void ExpectInvariant(SearchService* local,
+void ExpectInvariant(SocialSearchEngine* engine,
                      std::span<const std::unique_ptr<SearchService>> sharded,
                      std::span<const SearchRequest> requests,
                      const std::string& phase) {
   // One request at a time...
-  std::vector<Result<SearchResponse>> reference;
+  std::vector<Result<QueryResult>> reference;
   for (const SearchRequest& request : requests) {
-    reference.push_back(local->Search(request));
+    reference.push_back(EngineSearch(engine, request));
   }
   for (const auto& service : sharded) {
     const std::string label =
@@ -180,22 +193,22 @@ void ExpectInvariant(SearchService* local,
   }
 }
 
-TEST(ShardedInvarianceTest, AllShardCountsMatchLocalAcrossMutations) {
+TEST(ShardedInvarianceTest, AllShardCountsMatchEngineAcrossMutations) {
   for (const uint64_t seed : {11u, 29u}) {
     SCOPED_TRACE("dataset seed " + std::to_string(seed));
     const DatasetConfig config = TestConfig(seed);
-    auto local = BuildLocal(config);
+    auto engine = BuildEngine(config);
     std::vector<std::unique_ptr<SearchService>> sharded;
     for (const size_t shards : kShardCounts) {
       sharded.push_back(BuildSharded(config, shards));
     }
     const std::vector<SearchRequest> requests = BuildRequests(config);
 
-    ExpectInvariant(local.get(), sharded, requests, "fresh");
+    ExpectInvariant(engine.get(), sharded, requests, "fresh");
 
-    // --- Mutations, applied identically to every backend. -------------
+    // --- Mutations, applied identically to the engine and every service.
     Rng rng(seed * 7 + 5);
-    const size_t num_users = local->num_users();
+    const size_t num_users = engine->snapshot()->graph->num_users();
     std::vector<Item> batch;
     for (int i = 0; i < 40; ++i) {
       Item item;
@@ -213,22 +226,22 @@ TEST(ShardedInvarianceTest, AllShardCountsMatchLocalAcrossMutations) {
       batch.push_back(item);
     }
     // Half through the batched path, half one-by-one; global ids must
-    // come out dense and identical on every backend.
+    // come out dense and identical to the engine's on every service.
     const std::span<const Item> first_half(batch.data(), 20);
-    const auto local_ids = local->AddItems(first_half);
-    ASSERT_TRUE(local_ids.ok()) << local_ids.status().ToString();
+    const auto engine_ids = engine->AddItems(first_half);
+    ASSERT_TRUE(engine_ids.ok()) << engine_ids.status().ToString();
     for (const auto& service : sharded) {
       const auto ids = service->AddItems(first_half);
       ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-      EXPECT_EQ(local_ids.value(), ids.value()) << service->backend_name();
+      EXPECT_EQ(engine_ids.value(), ids.value()) << service->backend_name();
     }
     for (size_t i = 20; i < batch.size(); ++i) {
-      const auto local_id = local->AddItem(batch[i]);
-      ASSERT_TRUE(local_id.ok());
+      const auto engine_id = engine->AddItem(batch[i]);
+      ASSERT_TRUE(engine_id.ok());
       for (const auto& service : sharded) {
         const auto id = service->AddItem(batch[i]);
         ASSERT_TRUE(id.ok());
-        EXPECT_EQ(local_id.value(), id.value()) << service->backend_name();
+        EXPECT_EQ(engine_id.value(), id.value()) << service->backend_name();
       }
     }
     // A couple of friendship flips.
@@ -236,18 +249,18 @@ TEST(ShardedInvarianceTest, AllShardCountsMatchLocalAcrossMutations) {
       const UserId u = static_cast<UserId>(rng.UniformIndex(num_users));
       const UserId v = static_cast<UserId>(rng.UniformIndex(num_users));
       if (u == v) continue;
-      const Status local_status = local->AddFriendship(u, v);
+      const Status engine_status = engine->AddFriendship(u, v);
       for (const auto& service : sharded) {
         const Status status = service->AddFriendship(u, v);
-        EXPECT_EQ(local_status.code(), status.code())
+        EXPECT_EQ(engine_status.code(), status.code())
             << service->backend_name();
       }
     }
 
-    ExpectInvariant(local.get(), sharded, requests, "post-ingest");
+    ExpectInvariant(engine.get(), sharded, requests, "post-ingest");
 
-    // Compact only SOME backends: results must not depend on whether a
-    // backend's tail has been folded into its indexes.
+    // Compact only SOME services: results must not depend on whether a
+    // service's tail has been folded into its indexes.
     ASSERT_TRUE(sharded[1]->Compact().ok());
     ASSERT_TRUE(sharded[3]->Compact().ok());
     for (const auto& service : sharded) {
@@ -256,13 +269,13 @@ TEST(ShardedInvarianceTest, AllShardCountsMatchLocalAcrossMutations) {
         EXPECT_EQ(service->unindexed_items(), 0u);
       }
     }
-    ExpectInvariant(local.get(), sharded, requests, "post-compact");
+    ExpectInvariant(engine.get(), sharded, requests, "post-compact");
   }
 }
 
-TEST(ShardedInvarianceTest, SuggestTagsUnionMergeMatchesLocal) {
+TEST(ShardedInvarianceTest, SuggestTagsUnionMergeMatchesEngine) {
   const DatasetConfig config = TestConfig(47);
-  auto local = BuildLocal(config);
+  auto engine = BuildEngine(config);
   auto sharded = BuildSharded(config, 4);
 
   QueryExpansionOptions options;
@@ -271,7 +284,7 @@ TEST(ShardedInvarianceTest, SuggestTagsUnionMergeMatchesLocal) {
   for (const UserId user : {UserId{5}, UserId{80}, UserId{200}}) {
     for (const TagId seed : {TagId{0}, TagId{3}}) {
       const TagId seeds[] = {seed};
-      const auto expected = local->SuggestTags(user, seeds, options);
+      const auto expected = engine->SuggestTags(user, seeds, options);
       const auto actual = sharded->SuggestTags(user, seeds, options);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
       ASSERT_TRUE(actual.ok()) << actual.status().ToString();
