@@ -40,8 +40,8 @@
 #include "bench_common.h"
 #include "graph/graph_generators.h"
 #include "graph/graph_io.h"
-#include "proximity/shared_proximity_provider.h"
 #include "ingest/compaction_policy.h"
+#include "proximity_service/proximity_router.h"
 #include "service/sharded_search_service.h"
 #include "storage/item_store_io.h"
 #include "util/rng.h"
@@ -528,9 +528,10 @@ int main(int argc, char** argv) {
 
     // Product edit path: the provider (1-partition router) — validate,
     // two row replacements, publish, fold when the policy fires.
-    SharedProximityProvider::Options provider_options;
+    ProximityServiceRouter::Options provider_options;
+    provider_options.num_partitions = 1;
     provider_options.warm_top_n = 0;
-    SharedProximityProvider provider(graph, provider_options);
+    ProximityServiceRouter provider(graph, provider_options);
     Rng edit_rng(target_edges + 1);
     LatencyRecorder overlay_us;
     for (int i = 0; i < kEdits; ++i) {

@@ -107,10 +107,10 @@ class SocialSearchEngine {
   struct Options {
     /// The graph + proximity surface this engine consumes. When null,
     /// Build(graph, store, options) wraps the passed graph in a PRIVATE
-    /// SharedProximityProvider built from the knobs below — the
-    /// single-engine deployment. Services that run several engines pass
-    /// ONE shared provider here instead, so the graph and the score
-    /// cache exist once, not once per shard.
+    /// provider built from the knobs below — the single-engine
+    /// deployment. Services that run several engines pass ONE shared
+    /// provider here instead, so the graph and the score cache exist
+    /// once, not once per shard.
     std::shared_ptr<ProximityProvider> proximity_provider;
     /// Social proximity model for the private provider; defaults to
     /// forward-push PPR (restart 0.15, epsilon 1e-4) when null. Ignored
@@ -123,12 +123,11 @@ class SocialSearchEngine {
     /// generation bump (0 disables). Ignored when proximity_provider is
     /// set.
     size_t proximity_warm_top_n = 16;
-    /// User partitions of the private provider: 1 builds the single
-    /// SharedProximityProvider; > 1 builds a ProximityServiceRouter that
-    /// hash-partitions users across that many serving units (each with
-    /// its own cache / single-flight / warm-over, cross-partition edits
-    /// through the partition boundary). Ignored when proximity_provider
-    /// is set.
+    /// User partitions of the private provider, a ProximityServiceRouter
+    /// that hash-partitions users across that many serving units (each
+    /// with its own cache / single-flight / warm-over, cross-partition
+    /// edits through the partition boundary); 0 is treated as 1.
+    /// Ignored when proximity_provider is set.
     size_t proximity_partitions = 1;
     /// When the private provider folds its delta-overlay patch into a
     /// fresh base CSR; null selects AdaptiveOverlayFoldPolicy defaults.
@@ -147,7 +146,7 @@ class SocialSearchEngine {
   };
 
   /// Builds an engine over `graph` and `store` (both consumed). The graph
-  /// is wrapped in a private SharedProximityProvider;
+  /// is wrapped in a private provider (MakeProximityProvider);
   /// options.proximity_provider must be null on this overload (a shared
   /// provider already owns its graph — use the overload below).
   static Result<std::unique_ptr<SocialSearchEngine>> Build(SocialGraph graph,
@@ -161,33 +160,24 @@ class SocialSearchEngine {
   static Result<std::unique_ptr<SocialSearchEngine>> Build(ItemStore store,
                                                            Options options);
 
-  /// Reopens an engine from a snapshot directory written by
-  /// SaveSnapshot: maps and verifies the segments named by CURRENT (or
-  /// open_options.manifest_name), reconstructs the catalogue, views the
-  /// posting payloads zero-copy in the mapped files, and restores the
-  /// indexes/grid without any index build. When
-  /// options.proximity_provider is null the snapshot's own graph segment
-  /// feeds a private provider; services opening per-shard snapshots pass
-  /// the shared provider they restored from the root graph segment (the
-  /// shard manifest then has no graph segment to ignore).
+  /// Opens one shard of a service snapshot: maps and verifies the
+  /// segments named by open_options.manifest_name (the generation the
+  /// service root pins; empty reads CURRENT), reconstructs the
+  /// catalogue, views the posting payloads zero-copy in the mapped
+  /// files, and restores the indexes/grid without any index build. The
+  /// graph comes from options.proximity_provider (required) — the one
+  /// provider the service restored from its root graph segment. A
+  /// directory whose manifest is a service root is InvalidArgument.
   static Result<std::unique_ptr<SocialSearchEngine>> OpenSnapshot(
       const std::string& dir, Options options,
       const persist::SnapshotOpenOptions& open_options =
           persist::SnapshotOpenOptions());
 
-  /// The construction half of OpenSnapshot: assembles an engine from a
-  /// state already read by persist::LoadEngineSnapshot(dir, ...).
-  /// Services use the split to overlap shard segment loads with the
-  /// root graph/provider restore; everyone else wants OpenSnapshot.
-  static Result<std::unique_ptr<SocialSearchEngine>> FromLoadedSnapshot(
-      const std::string& dir, persist::LoadedEngineState loaded,
-      Options options);
-
-  /// The ONE mapping from engine options to a SharedProximityProvider
-  /// over `graph` (model default, cache-capacity clamp, warm-over knob).
-  /// Build(graph, store, options) uses it for the private provider, and
-  /// multi-engine services use it to construct the provider they share —
-  /// same knobs, same behavior, one place to extend.
+  /// The ONE mapping from engine options to the ProximityServiceRouter
+  /// over `graph` (partition count, model default, cache-capacity clamp,
+  /// warm-over and fold knobs). Build(graph, store, options) uses it for
+  /// the private provider, and services use it to construct the provider
+  /// they share — same knobs, same behavior, one place to extend.
   static std::shared_ptr<ProximityProvider> MakeProximityProvider(
       SocialGraph graph, const Options& options);
 
@@ -274,28 +264,15 @@ class SocialSearchEngine {
   /// the merge and rebuild paths on identical state.
   Status Compact(CompactionMode mode, CompactionOutcome* outcome);
 
-  /// Persists the current snapshot into `dir` and commits it: segments +
-  /// MANIFEST-<gen> written and fsynced, CURRENT atomically repointed,
-  /// superseded files deleted. When `dir` already holds a committed
-  /// snapshot this engine saved (or was opened from) in this process,
-  /// the save is incremental — only the lists touched since the previous
-  /// save's index horizon are rewritten (options.mode can force either
-  /// path). Holds the writer mutex for the duration: ingest stalls,
-  /// queries do not.
-  Result<persist::SnapshotSaveReport> SaveSnapshot(
-      const std::string& dir,
-      persist::SnapshotSaveOptions options = persist::SnapshotSaveOptions());
-
-  /// Service building block: writes segments + MANIFEST-<generation> for
-  /// the current snapshot into `dir` WITHOUT committing CURRENT — a
-  /// sharded service writes every shard's files first and then commits
-  /// one root CURRENT over all of them. Callers serialize saves
-  /// themselves (the service writer mutex).
+  /// Writes segments + MANIFEST-<generation> for the current snapshot
+  /// into the shard directory `dir` WITHOUT committing anything: a
+  /// service writes every shard's files first and then commits one root
+  /// manifest and CURRENT over all of them. `prev` (nullable) is this
+  /// shard's own previous manifest, which enables an incremental save.
+  /// Callers serialize saves themselves (the service writer mutex).
   Result<persist::Manifest> WriteSnapshotFiles(
       const std::string& dir, uint64_t generation,
-      const persist::Manifest* prev,
-      const persist::SnapshotSaveOptions& options,
-      persist::SnapshotSaveReport* report);
+      const persist::Manifest* prev, persist::SnapshotSaveReport* report);
 
   /// The current snapshot (lock-free load). Holding the returned pointer
   /// pins this generation's graph, indexes and grid for as long as the
@@ -380,18 +357,6 @@ class SocialSearchEngine {
   /// Never held while a query executes.
   std::mutex writer_mutex_;
   AtomicSharedPtr<const EngineSnapshot> snapshot_;
-
-  /// In-process record of the last committed save (or the snapshot this
-  /// engine was opened from): lets the next SaveSnapshot prove "graph
-  /// unchanged since the segment on disk" by comparing provider
-  /// generations — valid only within one process, which is exactly what
-  /// this tracks. Guarded by writer_mutex_.
-  struct LastSave {
-    std::string dir;
-    uint64_t generation = 0;
-    uint64_t graph_version = 0;
-  };
-  LastSave last_save_;
 };
 
 }  // namespace amici

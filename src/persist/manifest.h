@@ -34,7 +34,8 @@ struct SegmentInfo {
 struct Manifest {
   uint64_t generation = 0;
 
-  // Engine-level state (meaningful when num_shards == 0).
+  // Shard state. A root manifest fills only num_users, num_items and
+  // graph_version of this block, for the whole service.
   uint64_t num_users = 0;
   uint64_t num_items = 0;       // catalogue extent covered by segments
   uint64_t index_horizon = 0;   // items [index_horizon, num_items) are tail
@@ -46,7 +47,7 @@ struct Manifest {
 
   // Service-level state (root manifest of a SearchService snapshot):
   // shards live in shard-<i>/ subdirectories, each with its own
-  // MANIFEST-<gen> of the same generation. 0 = bare engine snapshot.
+  // MANIFEST-<gen> of the same generation. 0 = shard manifest.
   uint32_t num_shards = 0;
   std::string wal_file;  // ingest WAL name, empty = none
 

@@ -1,5 +1,6 @@
 #include "persist/segment.h"
 
+#include <cstdio>
 #include <cstring>
 
 #include "persist/codec.h"
@@ -27,6 +28,13 @@ std::string_view SegmentKindName(SegmentKind kind) {
       return "graph";
   }
   return "unknown";
+}
+
+std::string SegmentFileName(SegmentKind kind, uint64_t generation) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "-%06llu.seg",
+                static_cast<unsigned long long>(generation));
+  return std::string(SegmentKindName(kind)) + buf;
 }
 
 Status WriteSegmentFile(const std::string& path, SegmentKind kind,

@@ -25,6 +25,10 @@ enum class SegmentKind : uint16_t {
 /// file-name stem.
 std::string_view SegmentKindName(SegmentKind kind);
 
+/// "<kind>-<6-digit generation>.seg" — the one file-name scheme for
+/// segments, shard and root alike.
+std::string SegmentFileName(SegmentKind kind, uint64_t generation);
+
 /// Segment file layout:
 ///
 ///   [0,  4)  magic "AMSG"

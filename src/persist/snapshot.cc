@@ -1,7 +1,6 @@
 #include "persist/snapshot.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -23,13 +22,6 @@ namespace {
 static_assert(sizeof(ScoredItem) == 8,
               "ScoredItem must be a packed (u32 item, f32 score) pair — the "
               "social/impact segment payloads memcpy arrays of it");
-
-std::string SegmentFileName(SegmentKind kind, uint64_t generation) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "-%06llu.seg",
-                static_cast<unsigned long long>(generation));
-  return std::string(SegmentKindName(kind)) + buf;
-}
 
 void AppendScoredItems(std::span<const ScoredItem> items, std::string* out) {
   out->append(reinterpret_cast<const char*>(items.data()),
@@ -380,7 +372,6 @@ Status ApplyGridSegment(
 Result<Manifest> WriteEngineSnapshot(const std::string& dir,
                                      const EngineSnapshot& snap,
                                      uint64_t generation, const Manifest* prev,
-                                     const SnapshotSaveOptions& options,
                                      SnapshotSaveReport* report) {
   AMICI_RETURN_IF_ERROR(EnsureDir(dir));
   const ItemStoreView& view = snap.store;
@@ -392,40 +383,15 @@ Result<Manifest> WriteEngineSnapshot(const std::string& dir,
 
   // An incremental save is sound only against a base this state strictly
   // extends: same universe shape, monotone item/index growth, identical
-  // index knobs. Anything else falls back to (or fails for) a full save.
-  std::string incompatible;
-  if (prev == nullptr) {
-    incompatible = "no previous manifest";
-  } else if (prev->num_items > num_items ||
-             prev->index_horizon > snap.index_horizon) {
-    incompatible = "previous manifest covers more than the live state";
-  } else if (prev->num_users != num_users) {
-    incompatible = "user universe changed";
-  } else if (prev->num_tags > num_tags) {
-    incompatible = "tag universe shrank";
-  } else if ((prev->has_impact_ordered != 0) != inverted.has_impact_ordered()) {
-    incompatible = "impact-ordered materialization changed";
-  } else if (prev->has_grid != 0 && snap.grid == nullptr) {
-    incompatible = "grid disappeared";
-  } else if (prev->has_grid != 0 && snap.grid != nullptr &&
-             prev->grid_cell_size_deg != snap.grid->cell_size_deg()) {
-    incompatible = "grid geometry changed";
-  }
-  bool incremental = false;
-  switch (options.mode) {
-    case SnapshotSaveOptions::Mode::kFull:
-      break;
-    case SnapshotSaveOptions::Mode::kAuto:
-      incremental = incompatible.empty();
-      break;
-    case SnapshotSaveOptions::Mode::kIncremental:
-      if (!incompatible.empty()) {
-        return Status::FailedPrecondition("incremental save impossible: " +
-                                          incompatible);
-      }
-      incremental = true;
-      break;
-  }
+  // index knobs. Anything else falls back to a full save.
+  const bool incremental =
+      prev != nullptr && prev->num_items <= num_items &&
+      prev->index_horizon <= snap.index_horizon &&
+      prev->num_users == num_users && prev->num_tags <= num_tags &&
+      (prev->has_impact_ordered != 0) == inverted.has_impact_ordered() &&
+      (prev->has_grid == 0 ||
+       (snap.grid != nullptr &&
+        prev->grid_cell_size_deg == snap.grid->cell_size_deg()));
 
   // Delta keys. Items in [prev horizon, new horizon) are exactly the rows
   // compaction folded in since the last save; merge compaction being
@@ -483,22 +449,9 @@ Result<Manifest> WriteEngineSnapshot(const std::string& dir,
   stats.generation = generation;
   stats.incremental = incremental;
 
-  // Graph handling decides which prev segments stay live: on an
-  // incremental save every previous segment carries over EXCEPT a graph
-  // superseded by a new generation.
-  const bool graph_unchanged =
-      incremental && options.graph_unchanged_since_prev &&
-      std::any_of(prev->segments.begin(), prev->segments.end(),
-                  [](const SegmentInfo& s) {
-                    return s.kind == SegmentKind::kGraph;
-                  });
-  const bool write_graph = options.include_graph && !graph_unchanged;
-  if (incremental) {
-    for (const SegmentInfo& info : prev->segments) {
-      if (info.kind == SegmentKind::kGraph && write_graph) continue;
-      manifest.segments.push_back(info);
-    }
-  }
+  // On an incremental save every previous segment stays live; the new
+  // generation's segments supersede them per key.
+  if (incremental) manifest.segments = prev->segments;
 
   const auto emit = [&](SegmentKind kind, std::string payload,
                         uint64_t entries) -> Status {
@@ -544,11 +497,6 @@ Result<Manifest> WriteEngineSnapshot(const std::string& dir,
         emit(SegmentKind::kGrid,
              BuildGridPayload(*snap.grid, cells_to_write, &stats.lists_written),
              cells_to_write.size()));
-  }
-  if (write_graph) {
-    AMICI_RETURN_IF_ERROR(emit(SegmentKind::kGraph,
-                               BuildGraphSegmentPayload(*snap.graph),
-                               snap.graph->num_edges()));
   }
 
   AMICI_RETURN_IF_ERROR(WriteManifestFile(dir, manifest));
@@ -682,6 +630,14 @@ Result<LoadedEngineState> LoadEngineSnapshot(
         ReadManifestFile(JoinPath(dir, options.manifest_name)));
   }
   const Manifest& manifest = state.manifest;
+  // A service root describes shards, not one shard's state; refused
+  // before any of its segments (the root graph among them) is touched.
+  if (manifest.num_shards != 0) {
+    return Status::InvalidArgument(
+        dir + " holds a service root (num_shards = " +
+        std::to_string(manifest.num_shards) +
+        "); open it through the service layer");
+  }
 
   // Group by kind, ascending generation within a kind (later
   // generations apply last so they win per key). Kinds populate
@@ -689,6 +645,11 @@ Result<LoadedEngineState> LoadEngineSnapshot(
   // the restart critical path is the slowest kind, not the sum.
   std::map<SegmentKind, std::vector<const SegmentInfo*>> by_kind;
   for (const SegmentInfo& info : manifest.segments) {
+    if (info.kind == SegmentKind::kGraph) {
+      return Status::Corruption(
+          info.file + ": shard manifest lists a graph segment; the graph "
+                      "lives only at the service root");
+    }
     by_kind[info.kind].push_back(&info);
   }
   for (auto& [kind, infos] : by_kind) {
@@ -741,16 +702,8 @@ Result<LoadedEngineState> LoadEngineSnapshot(
           AMICI_RETURN_IF_ERROR(ApplyGridSegment(
               seg->payload(), *info, manifest.grid_cell_size_deg, &cells));
           break;
-        case SegmentKind::kGraph: {
-          auto graph = ParseGraphSegmentPayload(seg->payload());
-          if (!graph.ok()) {
-            return Status::Corruption(info->file + ": " +
-                                      graph.status().message());
-          }
-          state.graph = std::make_shared<const SocialGraph>(
-              std::move(graph).value());
+        case SegmentKind::kGraph:  // refused before anything is mapped
           break;
-        }
       }
     }
     return Status::Ok();
@@ -795,9 +748,6 @@ Result<LoadedEngineState> LoadEngineSnapshot(
     return Status::Corruption(
         "items segments reconstruct " + std::to_string(state.store.num_items()) +
         " items, manifest records " + std::to_string(manifest.num_items));
-  }
-  if (state.graph != nullptr && state.graph->num_users() != manifest.num_users) {
-    return Status::Corruption("graph user count does not match manifest");
   }
   if (manifest.has_grid != 0) {
     state.grid_cells.reserve(cells.size());

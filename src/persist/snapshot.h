@@ -18,20 +18,24 @@
 namespace amici {
 namespace persist {
 
-/// Engine-level snapshot save/load: the codecs between an immutable
-/// EngineSnapshot and a directory of segment files + manifest.
+/// Shard snapshot save/load: the codecs between one shard engine's
+/// immutable EngineSnapshot and a shard directory of segment files +
+/// manifest. Every snapshot is a service snapshot; the service root
+/// (CURRENT, root manifest, the one graph segment, the WAL) sits above
+/// the shard-<i>/ directories — see src/service/service_persistence.h.
 ///
-/// Directory layout (bare engine; services add a root manifest, WAL and
-/// shard-<i>/ subdirectories on top — see SearchService::SaveSnapshot):
+/// Shard directory layout:
 ///
-///   CURRENT             -> names the live MANIFEST-<gen> (atomic commit)
-///   MANIFEST-<gen>      checksummed root of trust (persist/manifest.h)
+///   MANIFEST-<gen>      checksummed root of trust (persist/manifest.h);
+///                       the root manifest pins which generation is live
 ///   items-<gen>.seg     catalogue rows [first_id, first_id + count)
 ///   postings-<gen>.seg  per-tag posting-list v2 images + impact arrays
 ///   social-<gen>.seg    per-owner quality-ordered buckets
 ///   grid-<gen>.seg      per-cell item lists (only when geo items exist)
-///   graph-<gen>.seg     CSR graph image (omitted for shard snapshots —
-///                       the service owns ONE graph for all shards)
+///
+/// A shard manifest never lists a graph segment: the service owns ONE
+/// graph, at the root, and the loader refuses a shard manifest that
+/// names one.
 ///
 /// Posting segments embed the PostingList v2 serialized image VERBATIM,
 /// so a loaded snapshot maps them and traverses blocks zero-copy —
@@ -45,25 +49,6 @@ namespace persist {
 /// (plus the new catalogue rows) as a new segment generation; readers
 /// apply generations in order, latest wins per key, and untouched
 /// segments stay live across saves.
-
-struct SnapshotSaveOptions {
-  enum class Mode {
-    kAuto,         // incremental when a compatible previous manifest exists
-    kFull,         // rewrite everything
-    kIncremental,  // delta or fail (FailedPrecondition without a base)
-  };
-  Mode mode = Mode::kAuto;
-  /// Shard snapshots set this false: the graph is saved once at the
-  /// service root, not once per shard.
-  bool include_graph = true;
-  /// Set only when the caller KNOWS the live graph is byte-identical to
-  /// the previous manifest's graph segment; an incremental save then
-  /// carries that segment over instead of rewriting O(E) bytes. Graph
-  /// version counters restart per process, so version equality with a
-  /// manifest written by an earlier process proves nothing — the engine
-  /// sets this from in-process save tracking, never from the manifest.
-  bool graph_unchanged_since_prev = false;
-};
 
 struct SnapshotSaveReport {
   uint64_t generation = 0;
@@ -89,8 +74,6 @@ struct SnapshotOpenOptions {
 struct LoadedEngineState {
   Manifest manifest;
   ItemStore store;
-  /// Null when the snapshot has no graph segment (shard snapshots).
-  std::shared_ptr<const SocialGraph> graph;
   /// Tag-indexed handles for InvertedIndex::Restore. Posting lists VIEW
   /// the mapped segments (each holds its segment as keepalive).
   std::vector<std::shared_ptr<const PostingList>> doc_ordered;
@@ -103,14 +86,15 @@ struct LoadedEngineState {
 };
 
 /// Writes the segment files and MANIFEST-<generation> for `snap` into
-/// `dir` (created if missing) — everything except the CURRENT commit,
-/// which the caller performs (engines commit directly; services commit
-/// one root CURRENT over many shard writes). `prev`, when non-null, is
-/// the directory's live manifest and enables an incremental save.
+/// the shard directory `dir` (created if missing) — everything except
+/// the commit, which the service performs once for all shards by
+/// writing its root manifest and repointing CURRENT. `prev`, when
+/// non-null, is a manifest `snap` is known to extend (the caller vouches
+/// that its segments hold this shard's own earlier state); the save is
+/// then incremental when the shapes are compatible and full otherwise.
 Result<Manifest> WriteEngineSnapshot(const std::string& dir,
                                      const EngineSnapshot& snap,
                                      uint64_t generation, const Manifest* prev,
-                                     const SnapshotSaveOptions& options,
                                      SnapshotSaveReport* report);
 
 /// Graph segment payload codec: a raw CSR image
@@ -132,9 +116,10 @@ Result<Manifest> WriteEngineSnapshot(const std::string& dir,
 std::string BuildGraphSegmentPayload(const SocialGraph& graph);
 Result<SocialGraph> ParseGraphSegmentPayload(std::string_view payload);
 
-/// Loads the state a manifest describes: maps and verifies every live
-/// segment, replays item generations into a fresh store, resolves
-/// per-key latest-wins over list generations.
+/// Loads the state a shard manifest describes: maps and verifies every
+/// live segment, replays item generations into a fresh store, resolves
+/// per-key latest-wins over list generations. A service root manifest is
+/// InvalidArgument; a graph segment in a shard manifest is Corruption.
 Result<LoadedEngineState> LoadEngineSnapshot(const std::string& dir,
                                              const SnapshotOpenOptions& options);
 

@@ -16,9 +16,8 @@
 namespace amici {
 
 /// The generation-keyed cache + single-flight computation core every
-/// proximity serving unit is built from (extracted from the PR 4
-/// SharedProximityProvider so the partitioned router can instantiate it
-/// once PER PARTITION): concurrent Get() misses for the same (user,
+/// proximity serving unit is built from (the partitioned router
+/// instantiates it once PER PARTITION): concurrent Get() misses for the same (user,
 /// generation) share ONE model computation — the losers wait on the
 /// winner instead of redundantly recomputing.
 ///

@@ -16,8 +16,7 @@ namespace amici {
 /// The background warm-over thread a proximity serving unit runs after a
 /// friendship edit publishes a new generation: recompute the hottest
 /// users against the new graph so the cache does not restart cold on
-/// every edge churn. Extracted from the PR 4 SharedProximityProvider so
-/// the partitioned router can run one per partition.
+/// every edge churn. The partitioned router runs one per partition.
 ///
 /// Newer tasks supersede queued ones (only the newest generation is worth
 /// warming), so the backlog is at most one task, and a round is abandoned

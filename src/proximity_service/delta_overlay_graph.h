@@ -21,9 +21,9 @@ namespace amici {
 /// SocialGraph.
 ///
 /// Concurrency contract: this class has NO internal synchronization. The
-/// owner (a ProximityServiceRouter / SharedProximityProvider) serializes
-/// every call under its writer mutex; readers only ever touch the
-/// immutable SocialGraph objects Compose() hands out. The one deliberate
+/// owner (a ProximityServiceRouter) serializes every call under its
+/// writer mutex; readers only ever touch the immutable SocialGraph
+/// objects Compose() hands out. The one deliberate
 /// exception is the fold protocol, designed so the O(E) rebuild runs with
 /// the writer mutex RELEASED:
 ///

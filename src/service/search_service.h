@@ -240,7 +240,8 @@ class SearchService : public IngestSink, public CompactionTarget {
   /// and protocol), then attaches a fresh ingest WAL: every subsequent
   /// mutation is logged and fdatasync-flushed before it is acknowledged,
   /// so reopening the directory replays exactly the acknowledged tail.
-  /// Incremental when `dir` already holds a compatible snapshot.
+  /// Incremental when `dir` holds the snapshot this service last saved
+  /// or was opened from (in this process); full otherwise.
   /// Serializes with the other mutators; queries are unaffected.
   virtual Result<persist::SnapshotSaveReport> SaveSnapshot(
       const std::string& dir) = 0;

@@ -1,7 +1,6 @@
 #include "service/service_persistence.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <utility>
 
@@ -19,48 +18,41 @@ std::string ShardDirPath(const std::string& dir, size_t shard) {
 Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     const std::string& dir, std::span<SocialSearchEngine* const> shards,
     ProximityProvider& provider, uint64_t num_items,
-    persist::SnapshotSaveOptions options, ServicePersistState* state) {
+    ServicePersistState* state) {
   AMICI_RETURN_IF_ERROR(persist::EnsureDir(dir));
 
   // Previous committed root, if any. Generation numbering always
-  // continues from it (even when it is incompatible and forces full
-  // shard saves) so new files never collide with files the still-live
-  // old snapshot references.
+  // continues from it (even when the save is full) so new files never
+  // collide with files the still-live old snapshot references.
   std::optional<persist::Manifest> prev;
   if (persist::FileExists(persist::JoinPath(dir, "CURRENT"))) {
-    AMICI_ASSIGN_OR_RETURN(persist::Manifest loaded,
-                           persist::LoadCurrentManifest(dir));
-    if (loaded.num_shards == 0) {
-      return Status::InvalidArgument(
-          dir + " holds a bare engine snapshot; save through "
-                "SocialSearchEngine::SaveSnapshot");
-    }
-    prev = std::move(loaded);
+    AMICI_ASSIGN_OR_RETURN(prev, persist::LoadCurrentManifest(dir));
   }
-  const bool prev_compatible =
-      prev.has_value() && prev->num_shards == shards.size();
-  if (!prev_compatible &&
-      options.mode == persist::SnapshotSaveOptions::Mode::kIncremental) {
-    return Status::FailedPrecondition(
-        "incremental save impossible: no compatible previous service "
-        "snapshot in " + dir);
-  }
+  // Incremental only against the snapshot THIS service committed or
+  // opened: its segments are provably this service's own earlier state.
+  // A root some other service wrote (even one of the same shape) holds
+  // another corpus, and carrying its segments over would serve that
+  // corpus's rows as ours. Valid within one process only — exactly what
+  // `state` records.
+  const bool own_base = prev.has_value() && state->dir == dir &&
+                        state->root.generation == prev->generation &&
+                        prev->num_shards == shards.size();
   const uint64_t generation = prev.has_value() ? prev->generation + 1 : 1;
 
   persist::SnapshotSaveReport report;
   report.generation = generation;
-  report.incremental = prev_compatible;
+  report.incremental = own_base;
 
   // Shards first: each writes its segments + MANIFEST-<generation> into
   // shard-<i>/ (no CURRENT there — the root manifest pins the
   // generation). Incremental against the previous root's generation
-  // when available.
+  // when that root is this service's own.
   std::vector<persist::Manifest> shard_manifests;
   shard_manifests.reserve(shards.size());
   for (size_t s = 0; s < shards.size(); ++s) {
     const std::string shard_dir = ShardDirPath(dir, s);
     std::optional<persist::Manifest> shard_prev;
-    if (prev_compatible) {
+    if (own_base) {
       const std::string prev_path = persist::JoinPath(
           shard_dir, persist::ManifestFileName(prev->generation));
       if (persist::FileExists(prev_path)) {
@@ -69,15 +61,12 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
         shard_prev = std::move(loaded);
       }
     }
-    persist::SnapshotSaveOptions shard_options = options;
-    shard_options.include_graph = false;  // ONE graph, at the root
-    shard_options.graph_unchanged_since_prev = false;
     persist::SnapshotSaveReport shard_report;
     AMICI_ASSIGN_OR_RETURN(
         persist::Manifest manifest,
-        shards[s]->WriteSnapshotFiles(
-            shard_dir, generation, shard_prev ? &*shard_prev : nullptr,
-            shard_options, &shard_report));
+        shards[s]->WriteSnapshotFiles(shard_dir, generation,
+                                      shard_prev ? &*shard_prev : nullptr,
+                                      &shard_report));
     report.segments_written += shard_report.segments_written;
     report.lists_written += shard_report.lists_written;
     report.bytes_written += shard_report.bytes_written;
@@ -90,9 +79,7 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
   // current generation's bytes.
   const ProximityProvider::GraphView view = provider.Acquire();
   const bool graph_unchanged =
-      prev_compatible && state->attached && state->dir == dir &&
-      state->root.generation == prev->generation &&
-      state->saved_graph_version == view.generation;
+      own_base && state->saved_graph_version == view.generation;
   persist::SegmentInfo graph_info;
   bool have_graph_info = false;
   if (graph_unchanged) {
@@ -108,10 +95,8 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     const std::string payload = persist::BuildGraphSegmentPayload(*view.graph);
     graph_info.kind = persist::SegmentKind::kGraph;
     graph_info.generation = generation;
-    char name[32];
-    std::snprintf(name, sizeof(name), "graph-%06llu.seg",
-                  static_cast<unsigned long long>(generation));
-    graph_info.file = name;
+    graph_info.file =
+        persist::SegmentFileName(persist::SegmentKind::kGraph, generation);
     graph_info.payload_bytes = payload.size();
     graph_info.checksum = Fnv1a64(payload);
     graph_info.entries = view.graph->num_edges();
@@ -172,9 +157,7 @@ Result<LoadedServiceSnapshot> OpenServiceSnapshot(
                       persist::JoinPath(dir, open_options.manifest_name)));
   }
   if (out.root.num_shards == 0) {
-    return Status::InvalidArgument(
-        dir + " holds a bare engine snapshot; open it through "
-              "SocialSearchEngine::OpenSnapshot");
+    return Status::Corruption(dir + ": root manifest lists no shards");
   }
 
   // The shared graph from the root segment.

@@ -16,8 +16,8 @@
 namespace amici {
 
 /// Service-level snapshot orchestration behind ShardedSearchService (one
-/// or N shards). Directory layout on top of the engine-level layout
-/// (src/persist/snapshot.h):
+/// or N shards) — the only snapshot format. Directory layout, with the
+/// shard layout in src/persist/snapshot.h:
 ///
 ///   <dir>/CURRENT             -> MANIFEST-<gen> (THE commit point)
 ///   <dir>/MANIFEST-<gen>      root manifest: num_shards, wal file, graph
@@ -33,7 +33,9 @@ namespace amici {
 /// commit). Restart = map shard segments + replay the WAL tail.
 
 /// In-memory persistence state of a service; guarded by the service's
-/// writer mutex. `attached` means mutators append to `wal`.
+/// writer mutex. `dir` + `root` name the snapshot this service last
+/// committed or opened — the only base an incremental save may extend.
+/// `attached` means mutators append to `wal`.
 struct ServicePersistState {
   std::string dir;
   persist::Manifest root;
@@ -48,16 +50,17 @@ struct ServicePersistState {
 /// "shard-<i>" subdirectory path.
 std::string ShardDirPath(const std::string& dir, size_t shard);
 
-/// Writes and COMMITS a full service snapshot of `shards` into `dir`,
-/// then attaches a fresh WAL to `state`. Incremental per shard when the
-/// directory's live snapshot is compatible (same shard count; each shard
-/// save falls back to full when its own base is incompatible). Caller
-/// holds the service writer mutex, so the engines' published snapshots
-/// are the complete service state.
+/// Writes and COMMITS a service snapshot of `shards` into `dir`, then
+/// attaches a fresh WAL to `state`. Incremental when `dir`'s live root
+/// is the snapshot this service last committed or opened (recorded in
+/// `state`); each shard still falls back to full when its own base is
+/// incompatible. Any other root in `dir` gets a full save. Caller holds
+/// the service writer mutex, so the engines' published snapshots are
+/// the complete service state.
 Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     const std::string& dir, std::span<SocialSearchEngine* const> shards,
     ProximityProvider& provider, uint64_t num_items,
-    persist::SnapshotSaveOptions options, ServicePersistState* state);
+    ServicePersistState* state);
 
 /// What OpenServiceSnapshot reconstructs. The WAL is NOT yet replayed or
 /// attached: the concrete service first rebuilds its routing state from

@@ -17,7 +17,7 @@ namespace amici {
 
 /// The partitioned backend: items are hash-partitioned across N
 /// single-node engines; the friendship graph and the proximity score
-/// cache live in ONE SharedProximityProvider that every shard engine
+/// cache live in ONE ProximityProvider that every shard engine
 /// consumes — one graph instance and one proximity computation per
 /// cache-missed (user, generation), no matter the shard count. A request
 /// fans out to every shard on a thread pool and the per-shard top-k
@@ -65,8 +65,8 @@ class ShardedSearchService final : public SearchService {
     size_t num_shards = 4;
     /// Applied to every shard engine. The proximity knobs
     /// (proximity_model / proximity_cache_capacity /
-    /// proximity_warm_top_n) configure the ONE SharedProximityProvider
-    /// Build creates and hands to every shard;
+    /// proximity_warm_top_n / proximity_partitions) configure the ONE
+    /// provider Build creates and hands to every shard;
     /// engine.proximity_provider itself must be left null (Build owns
     /// provider construction).
     SocialSearchEngine::Options engine;

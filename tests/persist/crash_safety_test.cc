@@ -5,9 +5,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -117,38 +119,86 @@ TEST(CrashSafetyTest, TruncatedWalTailReopensToCommittedPrefix) {
 }
 
 TEST(CrashSafetyTest, BitFlippedSegmentPayloadIsRejected) {
-  const DatasetConfig config = TestConfig(7);
-  Dataset dataset = GenerateDataset(config).value();
-  auto engine = SocialSearchEngine::Build(std::move(dataset.graph),
-                                          std::move(dataset.store),
-                                          SocialSearchEngine::Options());
-  ASSERT_TRUE(engine.ok());
+  auto service = BuildOneShard(TestConfig(7));
+  ASSERT_TRUE(service.ok());
   const std::string dir = TempDir("segment_flip");
-  ASSERT_TRUE(engine.value()->SaveSnapshot(dir).ok());
+  const auto report = service.value()->SaveSnapshot(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  const auto manifest = persist::LoadCurrentManifest(dir);
-  ASSERT_TRUE(manifest.ok());
-  ASSERT_FALSE(manifest.value().segments.empty());
+  // Every segment of the snapshot: the shard's kinds, then the root's
+  // graph segment.
+  const auto root = persist::LoadCurrentManifest(dir);
+  ASSERT_TRUE(root.ok());
+  const std::string shard_dir = ShardDirPath(dir, 0);
+  const auto shard = persist::ReadManifestFile(persist::JoinPath(
+      shard_dir, persist::ManifestFileName(report.value().generation)));
+  ASSERT_TRUE(shard.ok());
+  ASSERT_FALSE(shard.value().segments.empty());
+  std::vector<std::pair<std::string, persist::SegmentInfo>> segments;
+  for (const persist::SegmentInfo& info : shard.value().segments) {
+    segments.emplace_back(persist::JoinPath(shard_dir, info.file), info);
+  }
+  for (const persist::SegmentInfo& info : root.value().segments) {
+    segments.emplace_back(persist::JoinPath(dir, info.file), info);
+  }
+  ASSERT_EQ(segments.back().second.kind, persist::SegmentKind::kGraph);
+
   // Flip one payload byte in EVERY segment kind in turn; each flip alone
   // must fail the open with a Corruption error naming a checksum problem.
   Rng rng(11);
-  for (const persist::SegmentInfo& info : manifest.value().segments) {
-    const std::string path = persist::JoinPath(dir, info.file);
+  for (const auto& [path, info] : segments) {
     const size_t offset = persist::kSegmentHeaderSize +
                           rng.UniformIndex(static_cast<size_t>(
                               std::max<uint64_t>(info.payload_bytes, 1)));
     FlipByte(path, offset);
-    const auto twin = SocialSearchEngine::OpenSnapshot(
-        dir, SocialSearchEngine::Options());
+    const auto twin = ShardedSearchService::OpenSnapshot(
+        dir, ShardedSearchService::Options());
     ASSERT_FALSE(twin.ok()) << info.file << " flip went undetected";
     EXPECT_EQ(twin.status().code(), StatusCode::kCorruption)
         << twin.status().ToString();
     FlipByte(path, offset);  // restore for the next kind
   }
   // Control: with every flip undone the directory opens cleanly.
-  EXPECT_TRUE(SocialSearchEngine::OpenSnapshot(
-                  dir, SocialSearchEngine::Options())
+  EXPECT_TRUE(ShardedSearchService::OpenSnapshot(
+                  dir, ShardedSearchService::Options())
                   .ok());
+}
+
+TEST(CrashSafetyTest, ShardManifestListingAGraphIsRejected) {
+  // The graph lives only at the service root. A shard manifest that
+  // lists one — here a byte-valid copy of the root's own graph segment,
+  // under a correctly checksummed manifest — is corrupt input, not a
+  // second graph to load or silently ignore.
+  auto service = BuildOneShard(TestConfig(8));
+  ASSERT_TRUE(service.ok());
+  const std::string dir = TempDir("shard_graph");
+  const auto report = service.value()->SaveSnapshot(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const auto root = persist::LoadCurrentManifest(dir);
+  ASSERT_TRUE(root.ok());
+  ASSERT_EQ(root.value().segments.size(), 1u);
+  const persist::SegmentInfo& graph = root.value().segments[0];
+  ASSERT_EQ(graph.kind, persist::SegmentKind::kGraph);
+
+  const std::string shard_dir = ShardDirPath(dir, 0);
+  const std::string shard_path = persist::JoinPath(
+      shard_dir, persist::ManifestFileName(report.value().generation));
+  auto shard = persist::ReadManifestFile(shard_path);
+  ASSERT_TRUE(shard.ok());
+  std::ifstream in(persist::JoinPath(dir, graph.file), std::ios::binary);
+  std::ofstream out(persist::JoinPath(shard_dir, graph.file),
+                    std::ios::binary);
+  out << in.rdbuf();
+  out.close();
+  shard.value().segments.push_back(graph);
+  ASSERT_TRUE(persist::WriteManifestFile(shard_dir, shard.value()).ok());
+
+  const auto twin = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options());
+  ASSERT_FALSE(twin.ok()) << "shard graph segment was accepted";
+  EXPECT_EQ(twin.status().code(), StatusCode::kCorruption)
+      << twin.status().ToString();
 }
 
 TEST(CrashSafetyTest, BitFlippedManifestIsRejected) {
@@ -198,40 +248,44 @@ TEST(CrashSafetyTest, BitFlippedShardSegmentFailsShardedOpen) {
 }
 
 TEST(CrashSafetyTest, InterruptedResaveLeavesPreviousSnapshotOpenable) {
-  // Simulates a crash between "segments written" and "CURRENT renamed":
-  // files of the next generation exist but CURRENT still names the old
-  // manifest. Opening must serve the OLD snapshot untouched.
-  const DatasetConfig config = TestConfig(15);
-  Dataset dataset = GenerateDataset(config).value();
-  auto engine = SocialSearchEngine::Build(std::move(dataset.graph),
-                                          std::move(dataset.store),
-                                          SocialSearchEngine::Options());
-  ASSERT_TRUE(engine.ok());
+  // Simulates a crash between "shard segments written" and "root
+  // committed": the shard's next-generation files exist but CURRENT
+  // still names the old root. Opening must serve the OLD snapshot plus
+  // its WAL, untouched by the uncommitted files.
+  auto service = BuildOneShard(TestConfig(15));
+  ASSERT_TRUE(service.ok());
   const std::string dir = TempDir("mid_save");
-  const auto first = engine.value()->SaveSnapshot(dir);
+  const auto first = service.value()->SaveSnapshot(dir);
   ASSERT_TRUE(first.ok());
-  const size_t saved_items = engine.value()->store().num_items();
+  const size_t saved_items = service.value()->num_items();
 
-  // Write generation-2 files WITHOUT committing (the crash window).
-  ASSERT_TRUE(engine.value()->AddItem(SimpleItem(1, 3, 0.5f)).ok());
+  // The item is acknowledged (WAL-logged) before the interrupted save
+  // writes generation-2 shard files WITHOUT committing the root.
+  ASSERT_TRUE(service.value()->AddItem(SimpleItem(1, 3, 0.5f)).ok());
   persist::SnapshotSaveReport report;
-  const auto uncommitted = engine.value()->WriteSnapshotFiles(
-      dir, first.value().generation + 1, nullptr,
-      persist::SnapshotSaveOptions(), &report);
+  const auto uncommitted = service.value()->shard_engine(0)->WriteSnapshotFiles(
+      ShardDirPath(dir, 0), first.value().generation + 1, nullptr, &report);
   ASSERT_TRUE(uncommitted.ok()) << uncommitted.status().ToString();
 
-  const auto twin = SocialSearchEngine::OpenSnapshot(
-      dir, SocialSearchEngine::Options());
+  // The generation-1 shard holds `saved_items` rows and the WAL replays
+  // the one acknowledged item on top; a shard opened from the
+  // uncommitted generation would already hold it and fail the replay.
+  persist::WalReplayStats stats;
+  const auto twin = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options(), persist::SnapshotOpenOptions(),
+      &stats);
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
-  EXPECT_EQ(twin.value()->store().num_items(), saved_items);
+  EXPECT_EQ(stats.records_applied, 1u);
+  EXPECT_EQ(twin.value()->num_items(), saved_items + 1);
 }
 
 TEST(CrashSafetyTest, MissingCurrentIsCleanError) {
   const std::string dir = TempDir("empty");
   ASSERT_TRUE(persist::EnsureDir(dir).ok());
-  EXPECT_FALSE(SocialSearchEngine::OpenSnapshot(
-                   dir, SocialSearchEngine::Options())
-                   .ok());
+  SocialSearchEngine::Options shard_options;
+  shard_options.proximity_provider = SocialSearchEngine::MakeProximityProvider(
+      GenerateDataset(TestConfig(17)).value().graph, shard_options);
+  EXPECT_FALSE(SocialSearchEngine::OpenSnapshot(dir, shard_options).ok());
   EXPECT_FALSE(ShardedSearchService::OpenSnapshot(
                    dir, ShardedSearchService::Options())
                    .ok());

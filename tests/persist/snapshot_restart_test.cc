@@ -2,8 +2,9 @@
 // is the SAME engine, bit for bit. Every query — all six strategies,
 // both match modes, plain/diverse/geo/pure-social — must return
 // IDENTICAL items and IDENTICAL float scores on the restored twin, for
-// bare engines and for 1-, 2- and 4-shard services; fresh after a save,
-// after WAL-replayed ingest, and after merge compaction + resave.
+// a restored shard engine and for 1-, 2- and 4-shard services; fresh
+// after a save, after WAL-replayed ingest, and after merge compaction +
+// resave.
 //
 // Why exact equality (not the tie-tolerant comparison of the sharded
 // invariance suite) is the right bar: the twin runs the same algorithm
@@ -18,6 +19,7 @@
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
+#include "persist/manifest.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -87,7 +89,7 @@ void ExpectIdenticalItems(const std::vector<ScoredItem>& want,
   }
 }
 
-// --- Bare engine ---------------------------------------------------------
+// --- Shard engine --------------------------------------------------------
 
 void ExpectEngineTwin(SocialSearchEngine* live, SocialSearchEngine* twin,
                       std::span<const SocialQuery> queries,
@@ -121,27 +123,39 @@ void ExpectEngineTwin(SocialSearchEngine* live, SocialSearchEngine* twin,
   }
 }
 
-TEST(SnapshotRestartTest, EngineTwinMatchesAcrossStrategiesAndModes) {
-  const DatasetConfig config = TestConfig(5);
+std::unique_ptr<ShardedSearchService> BuildOneShard(
+    const DatasetConfig& config) {
   Dataset dataset = GenerateDataset(config).value();
-  auto live = SocialSearchEngine::Build(std::move(dataset.graph),
-                                        std::move(dataset.store),
-                                        SocialSearchEngine::Options());
-  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ShardedSearchService::Options options;
+  options.num_shards = 1;
+  auto service = ShardedSearchService::Build(std::move(dataset.graph),
+                                             std::move(dataset.store),
+                                             std::move(options));
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  return service.ok() ? std::move(service).value() : nullptr;
+}
+
+TEST(SnapshotRestartTest, EngineTwinMatchesAcrossStrategiesAndModes) {
+  // Engine-level twin: the restored 1-shard service's engine against the
+  // live one, query by query.
+  const DatasetConfig config = TestConfig(5);
+  auto live = BuildOneShard(config);
+  ASSERT_NE(live, nullptr);
   const std::vector<SocialQuery> queries = BaseQueries(config);
 
   const std::string dir = TempDir("engine");
-  const auto report = live.value()->SaveSnapshot(dir);
+  const auto report = live->SaveSnapshot(dir);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report.value().incremental);
   EXPECT_GT(report.value().segments_written, 0u);
 
-  auto twin = SocialSearchEngine::OpenSnapshot(
-      dir, SocialSearchEngine::Options());
+  auto twin = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options());
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
-  EXPECT_EQ(twin.value()->store().num_items(),
-            live.value()->store().num_items());
-  ExpectEngineTwin(live.value().get(), twin.value().get(), queries, "fresh");
+  SocialSearchEngine* live_engine = live->shard_engine(0);
+  SocialSearchEngine* twin_engine = twin.value()->shard_engine(0);
+  EXPECT_EQ(twin_engine->store().num_items(), live_engine->store().num_items());
+  ExpectEngineTwin(live_engine, twin_engine, queries, "fresh");
 
   // Ingest into BOTH, compact only the twin: queries must still agree
   // (compaction invariance composed with restore equivalence).
@@ -151,30 +165,39 @@ TEST(SnapshotRestartTest, EngineTwinMatchesAcrossStrategiesAndModes) {
     item.owner = static_cast<UserId>(rng.UniformIndex(config.num_users));
     item.tags = {static_cast<TagId>(rng.UniformIndex(config.num_tags))};
     item.quality = static_cast<float>(rng.UniformDouble());
-    const auto live_id = live.value()->AddItem(item);
+    const auto live_id = live->AddItem(item);
     const auto twin_id = twin.value()->AddItem(item);
     ASSERT_TRUE(live_id.ok() && twin_id.ok());
     EXPECT_EQ(live_id.value(), twin_id.value());
   }
   ASSERT_TRUE(twin.value()->Compact().ok());
-  ExpectEngineTwin(live.value().get(), twin.value().get(), queries,
-                   "post-ingest");
+  ExpectEngineTwin(live_engine, twin_engine, queries, "post-ingest");
 }
 
 TEST(SnapshotRestartTest, EngineRejectsServiceRootDirectory) {
   const DatasetConfig config = TestConfig(6);
-  Dataset dataset = GenerateDataset(config).value();
-  ShardedSearchService::Options options;
-  options.num_shards = 1;
-  auto service = ShardedSearchService::Build(std::move(dataset.graph),
-                                             std::move(dataset.store),
-                                             std::move(options));
-  ASSERT_TRUE(service.ok());
+  auto service = BuildOneShard(config);
+  ASSERT_NE(service, nullptr);
   const std::string dir = TempDir("engine_vs_service");
-  ASSERT_TRUE(service.value()->SaveSnapshot(dir).ok());
-  const auto engine = SocialSearchEngine::OpenSnapshot(
-      dir, SocialSearchEngine::Options());
-  EXPECT_FALSE(engine.ok());
+  ASSERT_TRUE(service->SaveSnapshot(dir).ok());
+  SocialSearchEngine::Options shard_options;
+  shard_options.proximity_provider = service->proximity_provider();
+  const auto engine = SocialSearchEngine::OpenSnapshot(dir, shard_options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+      << engine.status().ToString();
+
+  // A shard directory holds no graph, so the shard opener needs the
+  // service's provider.
+  persist::SnapshotOpenOptions pinned;
+  pinned.manifest_name = persist::ManifestFileName(1);
+  const auto no_provider = SocialSearchEngine::OpenSnapshot(
+      ShardDirPath(dir, 0), SocialSearchEngine::Options(), pinned);
+  EXPECT_EQ(no_provider.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      SocialSearchEngine::OpenSnapshot(ShardDirPath(dir, 0), shard_options,
+                                       pinned)
+          .ok());
 }
 
 // --- Services ------------------------------------------------------------

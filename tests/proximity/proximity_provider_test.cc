@@ -1,10 +1,12 @@
-// SharedProximityProvider: the one graph + proximity surface behind every
+// The single-node ProximityProvider — a 1-partition
+// ProximityServiceRouter, what SocialSearchEngine::MakeProximityProvider
+// builds by default: the one graph + proximity surface behind every
 // engine. Covers the RCU-style generation publishes, edge-edit
 // validation, single-flight computation de-duplication (the property the
 // sharded fan-out relies on: 1 computation per (user, generation), not
 // N), and the background warm-over after a generation bump.
 
-#include "proximity/shared_proximity_provider.h"
+#include "proximity_service/proximity_router.h"
 
 #include <atomic>
 #include <memory>
@@ -43,9 +45,10 @@ class CountingModel : public ProximityModel {
   mutable std::atomic<bool> stalled_{false};
 };
 
-SharedProximityProvider::Options TestOptions(
+ProximityServiceRouter::Options TestOptions(
     std::shared_ptr<const ProximityModel> model, size_t warm_top_n = 0) {
-  SharedProximityProvider::Options options;
+  ProximityServiceRouter::Options options;
+  options.num_partitions = 1;
   options.model = std::move(model);
   options.cache_capacity = 64;
   options.warm_top_n = warm_top_n;
@@ -57,9 +60,9 @@ SocialGraph TestGraph(size_t num_users = 100) {
   return GenerateErdosRenyi(num_users, 5.0, &rng);
 }
 
-TEST(SharedProximityProviderTest, CachesPerUserAndGeneration) {
+TEST(ProximityProviderTest, CachesPerUserAndGeneration) {
   auto model = std::make_shared<CountingModel>();
-  SharedProximityProvider provider(TestGraph(), TestOptions(model));
+  ProximityServiceRouter provider(TestGraph(), TestOptions(model));
 
   const auto view = provider.Acquire();
   EXPECT_EQ(view.generation, 0u);
@@ -81,15 +84,15 @@ TEST(SharedProximityProviderTest, CachesPerUserAndGeneration) {
   EXPECT_EQ(stats.cache_entries, 1u);
 }
 
-TEST(SharedProximityProviderTest, EditsPublishNewGenerationsRcuStyle) {
+TEST(ProximityProviderTest, EditsPublishNewGenerationsRcuStyle) {
   auto model = std::make_shared<CountingModel>();
-  SharedProximityProvider provider(TestGraph(4), TestOptions(model));
+  ProximityServiceRouter provider(TestGraph(4), TestOptions(model));
   // A 4-user graph from the generator may have arbitrary edges; work with
   // an explicit pair instead.
   GraphBuilder builder(4);
   ASSERT_TRUE(builder.AddEdge(0, 1).ok());
-  SharedProximityProvider explicit_provider(builder.Build(),
-                                            TestOptions(model));
+  ProximityServiceRouter explicit_provider(builder.Build(),
+                                           TestOptions(model));
 
   const auto before = explicit_provider.Acquire();
   ASSERT_TRUE(explicit_provider.AddFriendship(1, 2).ok());
@@ -107,11 +110,11 @@ TEST(SharedProximityProviderTest, EditsPublishNewGenerationsRcuStyle) {
   EXPECT_FALSE(explicit_provider.Acquire().graph->HasEdge(1, 2));
 }
 
-TEST(SharedProximityProviderTest, ValidatesEditsWithoutRebuilding) {
+TEST(ProximityProviderTest, ValidatesEditsWithoutRebuilding) {
   auto model = std::make_shared<CountingModel>();
   GraphBuilder builder(3);
   ASSERT_TRUE(builder.AddEdge(0, 1).ok());
-  SharedProximityProvider provider(builder.Build(), TestOptions(model));
+  ProximityServiceRouter provider(builder.Build(), TestOptions(model));
 
   EXPECT_EQ(provider.AddFriendship(0, 0).code(),
             StatusCode::kInvalidArgument);
@@ -127,9 +130,9 @@ TEST(SharedProximityProviderTest, ValidatesEditsWithoutRebuilding) {
   EXPECT_EQ(provider.stats().generations_published, 0u);
 }
 
-TEST(SharedProximityProviderTest, SingleFlightSharesOneComputation) {
+TEST(ProximityProviderTest, SingleFlightSharesOneComputation) {
   auto model = std::make_shared<CountingModel>();
-  SharedProximityProvider provider(TestGraph(), TestOptions(model));
+  ProximityServiceRouter provider(TestGraph(), TestOptions(model));
   const auto view = provider.Acquire();
 
   // Stall the model so every thread reaches the miss path before the
@@ -157,10 +160,10 @@ TEST(SharedProximityProviderTest, SingleFlightSharesOneComputation) {
             static_cast<uint64_t>(kThreads - 1));
 }
 
-TEST(SharedProximityProviderTest, WarmOverRecomputesHotUsersInBackground) {
+TEST(ProximityProviderTest, WarmOverRecomputesHotUsersInBackground) {
   auto model = std::make_shared<CountingModel>();
-  SharedProximityProvider provider(TestGraph(),
-                                   TestOptions(model, /*warm_top_n=*/4));
+  ProximityServiceRouter provider(TestGraph(),
+                                  TestOptions(model, /*warm_top_n=*/4));
   const auto view = provider.Acquire();
 
   // Make users 1..3 hot (3 hottest = the warm candidates), user 9 cold

@@ -1,5 +1,6 @@
 // ProximityServiceRouter: the partitioned service must be observationally
-// identical to the single shared provider — same published graphs, same
+// identical to a 1-partition router (the single shared provider every
+// engine builds by default) — same published graphs, same
 // generations, same validation verdicts, bit-identical proximity vectors —
 // while actually routing queries and edits to per-user partitions and
 // keeping its cross-partition traffic on the explicit boundary.
@@ -16,7 +17,6 @@
 #include "graph/graph_generators.h"
 #include "gtest/gtest.h"
 #include "proximity/hop_decay.h"
-#include "proximity/shared_proximity_provider.h"
 #include "util/rng.h"
 
 namespace amici {
@@ -52,11 +52,7 @@ void ExpectSameVector(const std::shared_ptr<const ProximityVector>& got,
 class ProximityRouterTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ProximityRouterTest, MirrorsSingleProviderThroughChurn) {
-  SharedProximityProvider::Options single_options;
-  single_options.model = std::make_shared<HopDecayProximity>();
-  single_options.cache_capacity = 64;
-  single_options.warm_top_n = 0;
-  SharedProximityProvider reference(TestGraph(), single_options);
+  ProximityServiceRouter reference(TestGraph(), RouterOptions(1));
   ProximityServiceRouter router(TestGraph(), RouterOptions(GetParam()));
 
   Rng rng(99);
@@ -94,10 +90,9 @@ TEST_P(ProximityRouterTest, MirrorsSingleProviderThroughChurn) {
 }
 
 TEST_P(ProximityRouterTest, FoldsMidChurnAreInvisible) {
-  SharedProximityProvider::Options single_options;
-  single_options.model = std::make_shared<HopDecayProximity>();
-  single_options.warm_top_n = 0;
-  SharedProximityProvider reference(TestGraph(60, 3), single_options);
+  ProximityServiceRouter::Options single_options = RouterOptions(1);
+  single_options.cache_capacity = 4096;
+  ProximityServiceRouter reference(TestGraph(60, 3), single_options);
 
   auto options = RouterOptions(GetParam());
   // Aggressive policy: fold after a handful of patched rows.
@@ -259,13 +254,13 @@ TEST_P(ProximityRouterTest, WarmupRecomputesHotUsersPerPartition) {
   (void)stats_before;
 }
 
-TEST(ProximityRouterTest, SharedProviderIsTheOnePartitionRouter) {
-  // The compatibility subclass must behave as a 1-partition router and
-  // expose the service counters through the same stats surface.
-  SharedProximityProvider::Options options;
-  options.model = std::make_shared<HopDecayProximity>();
-  options.warm_top_n = 0;
-  SharedProximityProvider provider(TestGraph(), options);
+TEST(ProximityRouterTest, OnePartitionRouterEditsAndFolds) {
+  // The single-node provider is the 1-partition router: it exposes the
+  // service counters through the same stats surface, and its edits patch
+  // and fold like any partition's.
+  ProximityServiceRouter::Options options = RouterOptions(1);
+  options.cache_capacity = 4096;
+  ProximityServiceRouter provider(TestGraph(), options);
   EXPECT_EQ(provider.num_partitions(), 1u);
   EXPECT_EQ(provider.stats().partitions, 1u);
   ASSERT_TRUE(provider.AddFriendship(0, 79).ok() ||

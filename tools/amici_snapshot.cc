@@ -1,6 +1,7 @@
-// amici_snapshot — offline inspector for snapshot directories written by
-// SaveSnapshot (engine or service), in the spirit of RocksDB's
-// sst_dump/ldb manifest tooling:
+// amici_snapshot — offline inspector for service snapshot directories
+// written by ShardedSearchService::SaveSnapshot (the root plus its
+// shard-<i>/ directories), in the spirit of RocksDB's sst_dump/ldb
+// manifest tooling:
 //
 //   amici_snapshot info   DIR   dump the committed manifest: generation,
 //                               covered state, per-segment table
