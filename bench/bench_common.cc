@@ -90,7 +90,7 @@ LatencySummary RunQueries(SocialSearchEngine* engine,
   return recorder.Summarize();
 }
 
-LatencySummary RunServiceQueries(SearchService* service,
+LatencySummary RunServiceQueries(ShardedSearchService* service,
                                  const std::vector<SocialQuery>& queries,
                                  AlgorithmId algorithm, int repeats,
                                  SearchStats* accumulated) {
@@ -123,7 +123,7 @@ void WarmProximityCache(SocialSearchEngine* engine,
   }
 }
 
-void WarmService(SearchService* service,
+void WarmService(ShardedSearchService* service,
                  const std::vector<SocialQuery>& queries) {
   for (const SocialQuery& query : queries) {
     SearchRequest request;

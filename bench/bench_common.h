@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "service/search_service.h"
+#include "service/sharded_search_service.h"
 #include "util/stats.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
@@ -21,9 +21,9 @@ struct EngineBundle {
   Dataset workload_view;
 };
 
-/// A SearchService plus a dataset copy usable for workload generation.
+/// A ShardedSearchService plus a dataset copy usable for workload generation.
 struct ServiceBundle {
-  std::unique_ptr<SearchService> service;
+  std::unique_ptr<ShardedSearchService> service;
   Dataset workload_view;
 };
 
@@ -50,7 +50,7 @@ LatencySummary RunQueries(SocialSearchEngine* engine,
 
 /// Service-level counterpart of RunQueries; `accumulated` sums the
 /// shard-merged SearchResponse::stats.
-LatencySummary RunServiceQueries(SearchService* service,
+LatencySummary RunServiceQueries(ShardedSearchService* service,
                                  const std::vector<SocialQuery>& queries,
                                  AlgorithmId algorithm, int repeats = 1,
                                  SearchStats* accumulated = nullptr);
@@ -62,7 +62,7 @@ void WarmProximityCache(SocialSearchEngine* engine,
 
 /// Service-level warm-up: one query per workload entry (hybrid), enough
 /// to populate every shard's proximity cache for the query users.
-void WarmService(SearchService* service,
+void WarmService(ShardedSearchService* service,
                  const std::vector<SocialQuery>& queries);
 
 /// Parses a `--shards=N` (or `--shards N`) command-line override; returns

@@ -1,4 +1,4 @@
-// Fig 10 — concurrent throughput through the SearchService surface, on
+// Fig 10 — concurrent throughput through the ShardedSearchService surface, on
 // two axes:
 //
 //  (a) queries per second as CLIENT threads scale against a 1-shard
@@ -37,7 +37,7 @@ struct QpsMeasurement {
 /// Hammers `service` from `threads` client threads, `queries_per_thread`
 /// queries each. Response stats are accumulated per thread and merged at
 /// join, so the measurement itself adds no cross-thread contention.
-QpsMeasurement MeasureQpsWithStats(SearchService* service,
+QpsMeasurement MeasureQpsWithStats(ShardedSearchService* service,
                                    const std::vector<SocialQuery>& queries,
                                    int threads, int queries_per_thread,
                                    std::optional<AlgorithmId> algorithm) {
@@ -77,7 +77,7 @@ QpsMeasurement MeasureQpsWithStats(SearchService* service,
 }
 
 /// Backend-default-algorithm (hybrid) variant reporting QPS only.
-double MeasureQps(SearchService* service,
+double MeasureQps(ShardedSearchService* service,
                   const std::vector<SocialQuery>& queries, int threads,
                   int queries_per_thread) {
   return MeasureQpsWithStats(service, queries, threads, queries_per_thread,

@@ -1,4 +1,4 @@
-// Fig 12 — query QoS under saturation, through the SearchService edge:
+// Fig 12 — query QoS under saturation, through the ShardedSearchService edge:
 //
 //  (1) closed-loop capacity measurement: client threads issue
 //      back-to-back queries until latency stops buying throughput —
@@ -42,7 +42,7 @@ using Clock = std::chrono::steady_clock;
 
 /// Closed loop: `threads` clients issue back-to-back queries; the
 /// aggregate QPS approximates service capacity at full utilization.
-double MeasureCapacityQps(SearchService* service,
+double MeasureCapacityQps(ShardedSearchService* service,
                           const std::vector<SocialQuery>& queries,
                           int threads, int queries_per_thread) {
   std::atomic<int> errors{0};
@@ -90,7 +90,7 @@ struct SweepOutcome {
 /// process never blocks on a busy client) picks the next arrival, sleeps
 /// until its schedule, fires it, and charges the response with
 /// (completion - scheduled arrival) — queueing delay included.
-SweepOutcome RunOpenLoop(SearchService* service,
+SweepOutcome RunOpenLoop(ShardedSearchService* service,
                          const std::vector<SocialQuery>& queries,
                          double arrival_qps, int total, double timeout_ms,
                          int workers) {
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
 
   bench::ServiceBundle bundle =
       bench::BuildService(smoke ? SmallDataset() : MediumDataset(), shards);
-  SearchService* service = bundle.service.get();
+  ShardedSearchService* service = bundle.service.get();
 
   QueryWorkloadConfig workload;
   workload.num_queries = smoke ? 64 : 256;

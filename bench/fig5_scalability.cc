@@ -1,4 +1,4 @@
-// Fig 5 — scalability: latency vs graph size, through the SearchService
+// Fig 5 — scalability: latency vs graph size, through the service
 // surface. The exhaustive baseline grows linearly with the catalogue; the
 // index-driven strategies grow sublinearly (bounded by the query's
 // neighbourhood and posting-list prefixes, not the corpus). With

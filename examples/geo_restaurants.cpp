@@ -1,7 +1,7 @@
 // Geo-social scenario: restaurant check-ins with ratings. "Find top
 // italian places near me, preferring spots my friends rated" — the
 // geo-social query of the Fig 8 experiment, driven through the
-// SearchService API, including the radius-dependent choice between
+// ShardedSearchService API, including the radius-dependent choice between
 // geo-driven and social-driven execution (a per-request hint) — and the
 // same requests served by a 4-shard service with identical answers.
 //
@@ -53,7 +53,7 @@ int main() {
     std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());
     return 1;
   }
-  std::unique_ptr<SearchService> service = std::move(service_or).value();
+  std::unique_ptr<ShardedSearchService> service = std::move(service_or).value();
 
   SearchRequest request;
   request.query.user = 42;
@@ -67,7 +67,7 @@ int main() {
 
   std::printf("user %u searching tags {3,17} around (%.3f, %.3f)\n\n",
               request.query.user, me.latitude, me.longitude);
-  auto sweep = [&](SearchService* backend) {
+  auto sweep = [&](ShardedSearchService* backend) {
     std::printf("%-10s %-10s %-28s %s\n", "radius km", "strategy", "results",
                 "items examined");
     for (const float radius : {1.0f, 5.0f, 25.0f, 100.0f}) {

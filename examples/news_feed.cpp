@@ -38,7 +38,7 @@ int main() {
     std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());
     return 1;
   }
-  std::unique_ptr<SearchService> service = std::move(service_or).value();
+  std::unique_ptr<ShardedSearchService> service = std::move(service_or).value();
 
   const UserId reader = 7;
   SearchRequest feed;

@@ -1,5 +1,5 @@
 // Photo-sharing scenario: a Flickr-like tagged photo corpus over a
-// scale-free social network, driven through the SearchService API. Shows
+// scale-free social network, driven through the ShardedSearchService API. Shows
 // how the alpha blend changes what one user sees for the same keyword
 // query, owner-diversified feeds (max_per_owner), the personalized
 // thesaurus (SuggestTags), and the engine's execution strategies compared
@@ -46,7 +46,7 @@ int main() {
     std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());
     return 1;
   }
-  std::unique_ptr<SearchService> service = std::move(service_or).value();
+  std::unique_ptr<ShardedSearchService> service = std::move(service_or).value();
 
   // One user, one tag query, three different blends.
   QueryWorkloadConfig wconfig;

@@ -1,7 +1,7 @@
 // Quickstart: build a tiny social network by hand, index a handful of
 // items, and run one social top-k query end to end — through the
-// backend-agnostic SearchService API. The same request is then served by
-// a 2-shard service to show that the shard count is a deployment choice,
+// ShardedSearchService API. The same request is then served by a 2-shard
+// service to show that the shard count is a deployment choice,
 // not a code change.
 //
 //   ./build/examples/quickstart
@@ -17,7 +17,7 @@ using amici::GraphBuilder;
 using amici::Item;
 using amici::ItemStore;
 using amici::SearchRequest;
-using amici::SearchService;
+using amici::ShardedSearchService;
 using amici::ShardedSearchService;
 using amici::TagDictionary;
 using amici::UserId;
@@ -69,7 +69,7 @@ int main() {
                  service_or.status().ToString().c_str());
     return 1;
   }
-  std::unique_ptr<SearchService> service = std::move(service_or).value();
+  std::unique_ptr<ShardedSearchService> service = std::move(service_or).value();
 
   // --- 4. Alice searches "sunset", blending content with friendship.
   SearchRequest request;
@@ -78,7 +78,7 @@ int main() {
   request.query.k = 3;
   request.query.alpha = 0.6;  // lean social: friends' photos first
 
-  auto show = [&](SearchService* backend) {
+  auto show = [&](ShardedSearchService* backend) {
     const auto response = backend->Search(request);
     if (!response.ok()) {
       std::fprintf(stderr, "query failed: %s\n",

@@ -13,7 +13,6 @@
 #include "core/social_first.h"
 #include "geo/geo_point.h"
 #include "geo/geo_social.h"
-#include "proximity_service/proximity_router.h"
 #include "topk/topk_heap.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -46,8 +45,9 @@ std::string_view AlgorithmName(AlgorithmId id) {
 SocialSearchEngine::SocialSearchEngine(ItemStore store, Options options)
     : store_(std::move(store)), options_(std::move(options)) {}
 
-std::shared_ptr<ProximityProvider> SocialSearchEngine::MakeProximityProvider(
-    SocialGraph graph, const Options& options) {
+std::shared_ptr<ProximityServiceRouter>
+SocialSearchEngine::MakeProximityProvider(SocialGraph graph,
+                                          const Options& options) {
   ProximityServiceRouter::Options router_options;
   router_options.num_partitions =
       std::max<size_t>(1, options.proximity_partitions);
@@ -64,7 +64,7 @@ Result<std::unique_ptr<SocialSearchEngine>> SocialSearchEngine::Build(
     SocialGraph graph, ItemStore store, Options options) {
   if (options.proximity_provider != nullptr) {
     return Status::InvalidArgument(
-        "a shared ProximityProvider already owns its graph; use "
+        "a shared ProximityServiceRouter already owns its graph; use "
         "Build(store, options) to consume it");
   }
   options.proximity_provider =
@@ -85,7 +85,7 @@ Result<std::unique_ptr<SocialSearchEngine>> SocialSearchEngine::Build(
   engine->proximity_ = engine->options_.proximity_provider;
 
   // Pin the provider's current generation into the initial snapshot.
-  const ProximityProvider::GraphView view = engine->proximity_->Acquire();
+  const GraphView view = engine->proximity_->Acquire();
   AMICI_ASSIGN_OR_RETURN(
       std::shared_ptr<const EngineSnapshot> initial,
       engine->BuildSnapshot(view.graph, view.generation,
@@ -130,7 +130,7 @@ Result<std::unique_ptr<SocialSearchEngine>> SocialSearchEngine::OpenSnapshot(
   std::unique_ptr<SocialSearchEngine> engine(
       new SocialSearchEngine(std::move(loaded.store), std::move(options)));
   engine->proximity_ = engine->options_.proximity_provider;
-  const ProximityProvider::GraphView view = engine->proximity_->Acquire();
+  const GraphView view = engine->proximity_->Acquire();
   if (view.graph->num_users() != loaded.manifest.num_users) {
     return Status::Corruption(
         dir + ": provider graph covers " +
@@ -263,12 +263,6 @@ Result<QueryResult> SocialSearchEngine::Query(const SocialQuery& query,
   } else {
     result.stats.proximity_cache_hits = 1;
   }
-  // Compaction observability rides each response: cumulative engine
-  // counters at response time (mode split + merged/touched work).
-  result.stats.compactions_merge = stats_.merge_compactions();
-  result.stats.compactions_rebuild = stats_.rebuild_compactions();
-  result.stats.compaction_items_merged = stats_.compaction_items_merged();
-  result.stats.compaction_lists_touched = stats_.compaction_lists_touched();
 
   // Fold in the un-indexed tail: exhaustively score items the indexes do
   // not cover yet, merging with the algorithm's (exact) indexed top-k.
@@ -433,7 +427,7 @@ Status SocialSearchEngine::RemoveFriendship(UserId u, UserId v) {
 
 Status SocialSearchEngine::SyncGraph() {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  const ProximityProvider::GraphView view = proximity_->Acquire();
+  const GraphView view = proximity_->Acquire();
   const std::shared_ptr<const EngineSnapshot> cur = snapshot();
   // <= not ==: when two edits race, the loser's Acquire may read an older
   // view than the winner's sync already published — never regress.

@@ -18,8 +18,8 @@
 #include "index/index_builder.h"
 #include "persist/snapshot.h"
 #include "proximity/proximity_model.h"
-#include "proximity/proximity_provider.h"
 #include "proximity_service/overlay_fold_policy.h"
+#include "proximity_service/proximity_router.h"
 #include "storage/item_store.h"
 #include "storage/tag_dictionary.h"
 #include "util/atomic_shared_ptr.h"
@@ -82,7 +82,7 @@ struct QueryResult {
 };
 
 /// The public facade: owns the item catalogue and the algorithm suite,
-/// CONSUMES a ProximityProvider (which owns the graph, the proximity
+/// CONSUMES a ProximityServiceRouter (which owns the graph, the proximity
 /// model and the score cache — possibly shared with other engines), and
 /// publishes the query-visible state (graph, indexes, grid, store view)
 /// as immutable EngineSnapshot generations.
@@ -111,7 +111,7 @@ class SocialSearchEngine {
     /// deployment. Services that run several engines pass ONE shared
     /// provider here instead, so the graph and the score cache exist
     /// once, not once per shard.
-    std::shared_ptr<ProximityProvider> proximity_provider;
+    std::shared_ptr<ProximityServiceRouter> proximity_provider;
     /// Social proximity model for the private provider; defaults to
     /// forward-push PPR (restart 0.15, epsilon 1e-4) when null. Ignored
     /// when proximity_provider is set.
@@ -178,7 +178,7 @@ class SocialSearchEngine {
   /// warm-over and fold knobs). Build(graph, store, options) uses it for
   /// the private provider, and services use it to construct the provider
   /// they share — same knobs, same behavior, one place to extend.
-  static std::shared_ptr<ProximityProvider> MakeProximityProvider(
+  static std::shared_ptr<ProximityServiceRouter> MakeProximityProvider(
       SocialGraph graph, const Options& options);
 
   /// Executes `query` with the default (hybrid) strategy.
@@ -231,7 +231,7 @@ class SocialSearchEngine {
   Result<std::vector<ItemId>> AddItems(std::span<const Item> items);
 
   /// Adds / removes a friendship edge THROUGH the proximity provider
-  /// (which owns the graph): the provider validates, rebuilds (O(E)) and
+  /// (which owns the graph): the provider validates, patches and
   /// publishes a new graph generation, and this engine adopts it into a
   /// fresh snapshot; in-flight queries finish on the generation they
   /// pinned. RemoveFriendship returns NotFound when the edge does not
@@ -311,8 +311,8 @@ class SocialSearchEngine {
   }
   /// The graph + proximity surface this engine consumes (possibly shared
   /// with other engines).
-  ProximityProvider& proximity() const { return *proximity_; }
-  std::shared_ptr<ProximityProvider> shared_proximity() const {
+  ProximityServiceRouter& proximity() const { return *proximity_; }
+  std::shared_ptr<ProximityServiceRouter> shared_proximity() const {
     return proximity_;
   }
   EngineStats& stats() { return stats_; }
@@ -349,7 +349,7 @@ class SocialSearchEngine {
 
   /// Owns the graph, the model, and the score cache; shared across
   /// engines when the service layer passes one provider to all shards.
-  std::shared_ptr<ProximityProvider> proximity_;
+  std::shared_ptr<ProximityServiceRouter> proximity_;
   std::vector<std::unique_ptr<SearchAlgorithm>> algorithms_;  // by AlgorithmId
   EngineStats stats_;
 

@@ -29,7 +29,7 @@ namespace amici {
 /// costs one small allocation plus refcount traffic.
 struct EngineSnapshot {
   /// CSR friendship graph of this generation — PINNED from the engine's
-  /// ProximityProvider (which owns the graph and publishes new
+  /// ProximityServiceRouter (which owns the graph and publishes new
   /// generations on friendship edits). Engines sharing one provider
   /// share this pointer: N shards, one graph instance.
   std::shared_ptr<const SocialGraph> graph;
@@ -45,7 +45,7 @@ struct EngineSnapshot {
   ItemStoreView store;
   /// First item id NOT covered by `indexes`.
   ItemId index_horizon = 0;
-  /// Monotonic generation counter of `graph` (the ProximityProvider's
+  /// Monotonic generation counter of `graph` (the ProximityServiceRouter's
   /// generation number); keys the shared proximity cache so vectors
   /// computed against an older graph can never serve (or poison) queries
   /// running against a newer one.

@@ -16,7 +16,7 @@
 namespace amici {
 
 /// What the scheduler compacts: a set of independently-compactable shards.
-/// SearchService implements it.
+/// ShardedSearchService implements it; tests substitute a fake.
 /// ShardSignals/CompactShard must be safe to call from the scheduler
 /// thread concurrently with queries and ingest — which the engines'
 /// snapshot protocol already guarantees.

@@ -39,8 +39,8 @@ class IngestTicket {
   explicit IngestTicket(std::shared_ptr<internal::TicketState> state)
       : state_(std::move(state)) {}
 
-  /// Builds an already-completed ticket (the synchronous fallback path of
-  /// SearchService::EnqueueItems when no pipeline is running).
+  /// Builds an already-completed ticket (the service's synchronous
+  /// fallback when no pipeline is running).
   static IngestTicket Resolved(Status status, std::vector<ItemId> ids);
 
   bool valid() const { return state_ != nullptr; }

@@ -10,10 +10,10 @@
 
 namespace amici {
 
-/// The synchronous write surface the ingest pipeline drains into. Both
-/// SearchService backends implement it (their existing mutators match
-/// these signatures), which is what lets the pipeline live below the
-/// service layer without depending on it.
+/// The synchronous write surface the ingest pipeline drains into.
+/// ShardedSearchService implements it (its mutators match these
+/// signatures) and tests substitute a recording fake, which is what lets
+/// the pipeline live below the service layer without depending on it.
 ///
 /// Contract (inherited by every implementation):
 ///  * AddItems appends a batch atomically (all-or-nothing) and returns

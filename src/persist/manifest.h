@@ -45,9 +45,9 @@ struct Manifest {
   uint8_t has_grid = 0;
   double grid_cell_size_deg = 0.0;
 
-  // Service-level state (root manifest of a SearchService snapshot):
-  // shards live in shard-<i>/ subdirectories, each with its own
-  // MANIFEST-<gen> of the same generation. 0 = shard manifest.
+  // Service-level state (root manifest of a service snapshot): shards
+  // live in shard-<i>/ subdirectories, each with its own MANIFEST-<gen>
+  // of the same generation. 0 = shard manifest.
   uint32_t num_shards = 0;
   std::string wal_file;  // ingest WAL name, empty = none
 

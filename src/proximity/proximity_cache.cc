@@ -68,7 +68,7 @@ std::shared_ptr<const ProximityVector> ProximityCache::Get(
 
   // Compute outside the lock: concurrent misses may duplicate work for the
   // same user, but never block each other on a long PPR computation.
-  // (ProximityProvider adds single-flight de-duplication on top.)
+  // (Proximity partitions add single-flight de-duplication on top.)
   auto vector = std::make_shared<const ProximityVector>(
       model_->Compute(graph, source));
   Put(source, graph_version, vector);

@@ -23,7 +23,7 @@ namespace amici {
 ///
 /// Two usage styles:
 ///  * the classic compute-through Get() (requires a model), and
-///  * the split TryGet()/Put() surface a ProximityProvider uses to wrap
+///  * the split TryGet()/Put() surface a proximity partition uses to wrap
 ///    the cache in single-flight computation de-duplication.
 class ProximityCache {
  public:

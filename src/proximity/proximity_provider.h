@@ -5,9 +5,6 @@
 #include <memory>
 
 #include "graph/social_graph.h"
-#include "proximity/proximity_model.h"
-#include "util/ids.h"
-#include "util/status.h"
 
 namespace amici {
 
@@ -25,8 +22,8 @@ enum class ProximityOutcome {
   kJoinedInFlight,
 };
 
-/// Cumulative counters of one provider instance. `computations` is the
-/// number the whole redesign exists to minimize: with one provider shared
+/// Cumulative counters of one ProximityServiceRouter. `computations` is
+/// the number the whole design exists to minimize: with one router shared
 /// across N shards, a cache-missed user costs 1 computation per (user,
 /// generation) — not N.
 struct ProximityProviderStats {
@@ -46,9 +43,8 @@ struct ProximityProviderStats {
   /// Vectors currently resident in the cache (summed across partitions).
   size_t cache_entries = 0;
 
-  // Delta-overlay / partitioned-service counters (all 0 for providers
-  // without an overlay or partitions).
-  /// User partitions behind this provider (1 = unpartitioned).
+  // Delta-overlay / partitioned-service counters.
+  /// User partitions behind the router (1 = unpartitioned).
   size_t partitions = 1;
   /// Replacement rows currently overlaying the base CSR.
   size_t overlay_rows = 0;
@@ -60,83 +56,12 @@ struct ProximityProviderStats {
   size_t frontier_users = 0;
 };
 
-/// The one shared graph + proximity surface behind every engine and
-/// shard.
-///
-/// The provider owns the social graph (publishing new generations
-/// RCU-style, exactly like engine snapshots), the proximity model, and a
-/// single generation-keyed score cache. Engines CONSUME it: they pin a
-/// (graph, generation) pair into each EngineSnapshot and ask the provider
-/// for proximity vectors against that pinned pair, so a query racing a
-/// friendship edit is always scored against one consistent generation.
-///
-/// Thread-safety contract (all implementations):
-///  * Acquire / GetProximity / stats are safe from any number of threads,
-///    concurrently with each other AND with friendship edits;
-///  * AddFriendship / RemoveFriendship serialize among themselves and
-///    publish atomically — readers holding an older generation keep it
-///    alive via the shared_ptr and are never invalidated mid-query.
-class ProximityProvider {
- public:
-  /// One published (graph, generation) pair. Holding `graph` pins that
-  /// generation for as long as the caller keeps the pointer.
-  struct GraphView {
-    std::shared_ptr<const SocialGraph> graph;
-    uint64_t generation = 0;
-  };
-
-  virtual ~ProximityProvider() = default;
-
-  /// The current graph generation (lock-free load).
-  virtual GraphView Acquire() const = 0;
-
-  /// Returns the proximity vector of `source` computed against `graph` /
-  /// `generation` — normally the pair the caller pinned via Acquire() (or
-  /// an EngineSnapshot). Cached per (source, generation); concurrent
-  /// misses for the same key share ONE computation. `outcome`, when
-  /// non-null, reports how the call was satisfied.
-  virtual std::shared_ptr<const ProximityVector> GetProximity(
-      const SocialGraph& graph, UserId source, uint64_t generation,
-      ProximityOutcome* outcome = nullptr) = 0;
-
-  /// Edits one undirected edge and publishes a new graph generation.
-  /// Validation happens here — the single place the graph lives:
-  /// endpoints outside the graph and self-edges are InvalidArgument,
-  /// duplicate adds are AlreadyExists, missing removes are NotFound; no
-  /// rebuild happens on any rejected edit.
-  virtual Status AddFriendship(UserId u, UserId v) = 0;
-  virtual Status RemoveFriendship(UserId u, UserId v) = 0;
-
-  /// Validation-only preview of Add/RemoveFriendship against the CURRENT
-  /// generation — the same rules the edit itself applies, with no
-  /// rebuild and no publish. `check_existence` false limits it to the
-  /// structural rules (endpoint range, self-edge), for callers that must
-  /// not judge edge existence against a graph that queued edits may
-  /// still change (see SearchService::EnqueueAddFriendship).
-  virtual Status ValidateEdit(UserId u, UserId v, bool adding,
-                              bool check_existence) const = 0;
-
-  /// The proximity model scores are computed with (pure and stateless).
-  virtual const ProximityModel& model() const = 0;
-
-  /// Counter snapshot (internally consistent enough for tests: counters
-  /// are monotone and quiesced reads are exact).
-  virtual ProximityProviderStats stats() const = 0;
-
-  /// Blocks until every background warm-over round queued so far has
-  /// been applied or superseded. No-op for providers without warm-over.
-  virtual void WaitForWarmup() {}
-
-  /// Forces the delta-overlay patch (if any) to fold into a fresh base
-  /// CSR, regardless of the fold policy; returns the number of patch
-  /// rows folded away. Representation-only: the published graph content
-  /// and generation are unchanged. No-op (0) for providers without an
-  /// overlay.
-  virtual size_t FoldOverlay() { return 0; }
-
-  /// Users in the current graph generation (graphs never change their
-  /// vertex set — edits rewire edges only).
-  size_t num_users() const { return Acquire().graph->num_users(); }
+/// One published (graph, generation) pair of the proximity service.
+/// Holding `graph` pins that generation for as long as the caller keeps
+/// the pointer.
+struct GraphView {
+  std::shared_ptr<const SocialGraph> graph;
+  uint64_t generation = 0;
 };
 
 }  // namespace amici

@@ -17,7 +17,7 @@ WarmOverWorker::~WarmOverWorker() {
   thread_.join();
 }
 
-void WarmOverWorker::Submit(ProximityProvider::GraphView view,
+void WarmOverWorker::Submit(GraphView view,
                             std::vector<UserId> users) {
   if (users.empty()) return;
   auto task = std::make_unique<Task>();

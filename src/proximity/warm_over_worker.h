@@ -26,8 +26,7 @@ class WarmOverWorker {
   /// Called once per (view, user) warm candidate, on the worker thread;
   /// typically wraps SingleFlightProximity::Get and counts computed
   /// outcomes. Must be safe to call until the destructor returns.
-  using WarmFn =
-      std::function<void(const ProximityProvider::GraphView&, UserId)>;
+  using WarmFn = std::function<void(const GraphView&, UserId)>;
 
   /// Starts the worker thread.
   explicit WarmOverWorker(WarmFn warm);
@@ -40,7 +39,7 @@ class WarmOverWorker {
 
   /// Queues one warm-over round: recompute `users` against `view`.
   /// Supersedes any not-yet-finished round.
-  void Submit(ProximityProvider::GraphView view, std::vector<UserId> users);
+  void Submit(GraphView view, std::vector<UserId> users);
 
   /// Blocks until every round queued so far has been applied or
   /// superseded. Tests use it to make warm-over observable
@@ -50,7 +49,7 @@ class WarmOverWorker {
  private:
   /// One queued warm-over round.
   struct Task {
-    ProximityProvider::GraphView view;
+    GraphView view;
     std::vector<UserId> users;
   };
 

@@ -16,7 +16,7 @@ ProximityPartition::ProximityPartition(uint32_t id, DeltaOverlayGraph* delta,
       flight_(model, cache_capacity) {
   if (warm_top_n_ > 0) {
     warm_ = std::make_unique<WarmOverWorker>(
-        [this](const ProximityProvider::GraphView& view, UserId user) {
+        [this](const GraphView& view, UserId user) {
           ProximityOutcome outcome;
           (void)flight_.Get(*view.graph, user, view.generation, &outcome);
           if (outcome == ProximityOutcome::kComputed) {
@@ -75,7 +75,7 @@ std::vector<UserId> ProximityPartition::HottestUsers() const {
   return flight_.cache().HottestUsers(warm_top_n_);
 }
 
-void ProximityPartition::SubmitWarm(ProximityProvider::GraphView view,
+void ProximityPartition::SubmitWarm(GraphView view,
                                     std::vector<UserId> users) {
   if (warm_ == nullptr) return;
   warm_->Submit(std::move(view), std::move(users));

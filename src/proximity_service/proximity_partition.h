@@ -67,7 +67,7 @@ class ProximityPartition {
   std::vector<UserId> HottestUsers() const;
 
   /// Queues a warm-over round against `view` on this partition's worker.
-  void SubmitWarm(ProximityProvider::GraphView view,
+  void SubmitWarm(GraphView view,
                   std::vector<UserId> users);
   void WaitForWarmup();
 

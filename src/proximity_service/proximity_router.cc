@@ -78,7 +78,7 @@ ProximityServiceRouter::ProximityServiceRouter(SocialGraph graph,
   state_.store(std::move(initial));
 }
 
-ProximityProvider::GraphView ProximityServiceRouter::Acquire() const {
+GraphView ProximityServiceRouter::Acquire() const {
   return *state_.load();
 }
 

@@ -14,15 +14,21 @@
 #include "proximity_service/partition_boundary.h"
 #include "proximity_service/proximity_partition.h"
 #include "util/atomic_shared_ptr.h"
+#include "util/status.h"
 
 namespace amici {
 
-/// The partitioned proximity service: users are hash-partitioned
-/// (GraphPartitionOf) across N ProximityPartitions, each with its own
-/// generation-keyed cache, single-flight table, and warm-over worker; the
-/// router implements the plain ProximityProvider interface on top, so
-/// engines and services consume a partitioned graph service exactly the
-/// way they consume the single shared provider.
+/// The one shared graph + proximity surface behind every engine and
+/// shard: users are hash-partitioned (GraphPartitionOf) across N
+/// ProximityPartitions, each with its own generation-keyed cache,
+/// single-flight table, and warm-over worker.
+///
+/// The router owns the social graph (publishing new generations
+/// RCU-style, exactly like engine snapshots) and the proximity model.
+/// Engines CONSUME it: they pin a (graph, generation) pair into each
+/// EngineSnapshot and ask the router for proximity vectors against that
+/// pinned pair, so a query racing a friendship edit is always scored
+/// against one consistent generation.
 ///
 ///  * Queries route by querying user: GetProximity(source) is served by
 ///    the partition owning `source`.
@@ -31,12 +37,19 @@ namespace amici {
 ///    refcounted frontier of remote endpoints its residents link to.
 ///  * Graph storage is the delta-overlay representation: an edit replaces
 ///    the two endpoint rows in the owners' patch buckets — O(deg(u) +
-///    deg(v)), NOT the O(E) CSR rebuild this replaces — and publishes the
-///    next generation as base + overlay. A fold policy (the
+///    deg(v)), NOT an O(E) CSR rebuild — and publishes the next
+///    generation as base + overlay. A fold policy (the
 ///    compaction-scheduler shape from src/ingest/) decides when the patch
 ///    is folded into a fresh base CSR; the O(E) flatten runs OFF the
 ///    writer lock and republishes the SAME generation (representation
 ///    change only), so concurrent edits and readers never wait on it.
+///
+/// Thread-safety contract:
+///  * Acquire / GetProximity / stats are safe from any number of threads,
+///    concurrently with each other AND with friendship edits;
+///  * AddFriendship / RemoveFriendship serialize among themselves and
+///    publish atomically — readers holding an older generation keep it
+///    alive via the shared_ptr and are never invalidated mid-query.
 ///
 /// The boundary is in-process today (virtual calls under the writer
 /// lock), but the partition state split is real: a partition only ever
@@ -46,8 +59,7 @@ namespace amici {
 /// against the full stitched SocialGraph view (ProximityModel::Compute
 /// takes the whole graph); distributing the model computation itself is
 /// deliberately out of scope.
-class ProximityServiceRouter : public ProximityProvider,
-                               private PartitionBoundary {
+class ProximityServiceRouter : private PartitionBoundary {
  public:
   struct Options {
     /// User partitions (clamped to >= 1).
@@ -77,19 +89,55 @@ class ProximityServiceRouter : public ProximityProvider,
   ProximityServiceRouter(const ProximityServiceRouter&) = delete;
   ProximityServiceRouter& operator=(const ProximityServiceRouter&) = delete;
 
-  // ProximityProvider:
-  GraphView Acquire() const override;
+  /// The current graph generation (lock-free load).
+  GraphView Acquire() const;
+
+  /// Returns the proximity vector of `source` computed against `graph` /
+  /// `generation` — normally the pair the caller pinned via Acquire() (or
+  /// an EngineSnapshot). Cached per (source, generation); concurrent
+  /// misses for the same key share ONE computation. `outcome`, when
+  /// non-null, reports how the call was satisfied.
   std::shared_ptr<const ProximityVector> GetProximity(
       const SocialGraph& graph, UserId source, uint64_t generation,
-      ProximityOutcome* outcome = nullptr) override;
-  Status AddFriendship(UserId u, UserId v) override;
-  Status RemoveFriendship(UserId u, UserId v) override;
+      ProximityOutcome* outcome = nullptr);
+
+  /// Edits one undirected edge and publishes a new graph generation.
+  /// Validation happens here — the single place the graph lives:
+  /// endpoints outside the graph and self-edges are InvalidArgument,
+  /// duplicate adds are AlreadyExists, missing removes are NotFound; no
+  /// publish happens on any rejected edit.
+  Status AddFriendship(UserId u, UserId v);
+  Status RemoveFriendship(UserId u, UserId v);
+
+  /// Validation-only preview of Add/RemoveFriendship against the CURRENT
+  /// generation — the same rules the edit itself applies, with no
+  /// publish. `check_existence` false limits it to the structural rules
+  /// (endpoint range, self-edge), for callers that must not judge edge
+  /// existence against a graph that queued edits may still change (see
+  /// ShardedSearchService::EnqueueAddFriendship).
   Status ValidateEdit(UserId u, UserId v, bool adding,
-                      bool check_existence) const override;
-  const ProximityModel& model() const override { return *model_; }
-  ProximityProviderStats stats() const override;
-  void WaitForWarmup() override;
-  size_t FoldOverlay() override;
+                      bool check_existence) const;
+
+  /// The proximity model scores are computed with (pure and stateless).
+  const ProximityModel& model() const { return *model_; }
+
+  /// Counter snapshot (internally consistent enough for tests: counters
+  /// are monotone and quiesced reads are exact).
+  ProximityProviderStats stats() const;
+
+  /// Blocks until every background warm-over round queued so far has
+  /// been applied or superseded.
+  void WaitForWarmup();
+
+  /// Forces the delta-overlay patch to fold into a fresh base CSR,
+  /// regardless of the fold policy; returns the number of patch rows
+  /// folded away. Representation-only: the published graph content and
+  /// generation are unchanged.
+  size_t FoldOverlay();
+
+  /// Users in the current graph generation (graphs never change their
+  /// vertex set — edits rewire edges only).
+  size_t num_users() const { return Acquire().graph->num_users(); }
 
   // PartitionBoundary (routing surface; the edit entry point stays
   // private — partitions reach it through the boundary reference they

@@ -11,10 +11,10 @@
 
 namespace amici {
 
-/// Admission control at the SearchService edge: decides, BEFORE any work
-/// is dispatched, whether a request runs as asked (admit), runs cheaper
-/// (degrade: substitute algorithm / capped k / tightened deadline — the
-/// service applies the overrides), or does not run at all (shed). The
+/// Admission control at the service's query edge: decides, BEFORE any
+/// work is dispatched, whether a request runs as asked (admit), runs
+/// cheaper (degrade: substitute algorithm / capped k / tightened deadline
+/// — the service applies the overrides), or does not run at all (shed). The
 /// decision is a pure function of the controller state (in-flight count,
 /// token bucket) and the request's cost estimate, so it is deterministic
 /// under an injected clock — see tests/service/admission_control_test.cc.

@@ -17,7 +17,7 @@ std::string ShardDirPath(const std::string& dir, size_t shard) {
 
 Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     const std::string& dir, std::span<SocialSearchEngine* const> shards,
-    ProximityProvider& provider, uint64_t num_items,
+    ProximityServiceRouter& provider, uint64_t num_items,
     ServicePersistState* state) {
   AMICI_RETURN_IF_ERROR(persist::EnsureDir(dir));
 
@@ -77,7 +77,7 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
   // The one shared graph, at the root. Skipped (segment carried over)
   // when this process knows the committed segment already holds the
   // current generation's bytes.
-  const ProximityProvider::GraphView view = provider.Acquire();
+  const GraphView view = provider.Acquire();
   const bool graph_unchanged =
       own_base && state->saved_graph_version == view.generation;
   persist::SegmentInfo graph_info;

@@ -10,7 +10,6 @@
 #include "persist/manifest.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
-#include "proximity/proximity_provider.h"
 #include "util/status.h"
 
 namespace amici {
@@ -59,7 +58,7 @@ std::string ShardDirPath(const std::string& dir, size_t shard);
 /// the complete service state.
 Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     const std::string& dir, std::span<SocialSearchEngine* const> shards,
-    ProximityProvider& provider, uint64_t num_items,
+    ProximityServiceRouter& provider, uint64_t num_items,
     ServicePersistState* state);
 
 /// What OpenServiceSnapshot reconstructs. The WAL is NOT yet replayed or
@@ -71,7 +70,7 @@ struct LoadedServiceSnapshot {
   /// Built from the root graph segment via
   /// SocialSearchEngine::MakeProximityProvider — the one provider every
   /// restored shard engine consumes.
-  std::shared_ptr<ProximityProvider> provider;
+  std::shared_ptr<ProximityServiceRouter> provider;
   std::vector<std::unique_ptr<SocialSearchEngine>> shards;
 };
 

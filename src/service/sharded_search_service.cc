@@ -60,13 +60,46 @@ void FanOutOnPool(ThreadPool* pool, size_t count,
   done.wait(lock, [&] { return remaining == 0; });
 }
 
+/// The well-formed empty response for a request admission control shed.
+SearchResponse ShedResponse(const SearchRequest& request,
+                            std::string_view backend) {
+  SearchResponse response;
+  response.shed = true;
+  response.backend = backend;
+  response.algorithm =
+      AlgorithmName(request.algorithm.value_or(AlgorithmId::kHybrid));
+  response.shards_touched = 0;
+  return response;
+}
+
+/// Applies the controller's degrade overrides to `request`.
+SearchRequest ApplyDegrade(const SearchRequest& request,
+                           const AdmissionController::Options& opts) {
+  SearchRequest degraded = request;
+  degraded.algorithm = opts.degrade_algorithm;
+  if (opts.degrade_k_cap > 0 && degraded.query.k > opts.degrade_k_cap) {
+    degraded.query.k = opts.degrade_k_cap;
+  }
+  if (opts.degrade_timeout_ms > 0.0 &&
+      (degraded.timeout_ms <= 0.0 ||
+       degraded.timeout_ms > opts.degrade_timeout_ms)) {
+    degraded.timeout_ms = opts.degrade_timeout_ms;
+  }
+  return degraded;
+}
+
 }  // namespace
 
 ShardedSearchService::ShardedSearchService(Options options)
     : options_(std::move(options)),
       backend_label_("sharded/" + std::to_string(options_.num_shards)) {}
 
-ShardedSearchService::~ShardedSearchService() { ShutdownBackgroundWork(); }
+ShardedSearchService::~ShardedSearchService() {
+  // Scheduler first (no new compactions), then the pipeline (drains the
+  // remaining queue synchronously through this service's mutators).
+  StopAutoCompaction();
+  StopIngest();
+}
 
 uint32_t ShardedSearchService::ShardOf(ItemId global) const {
   return static_cast<uint32_t>(Mix64(global) % options_.num_shards);
@@ -179,16 +212,116 @@ Result<QueryResult> ShardedSearchService::QueryShard(
   return result;
 }
 
-Result<SearchResponse> ShardedSearchService::SearchImpl(
-    const SearchRequest& request) {
-  std::vector<Result<SearchResponse>> responses =
-      ExecuteRequests(std::span<const SearchRequest>(&request, 1));
-  return std::move(responses[0]);
+// --- Query QoS edge ----------------------------------------------------
+
+std::shared_ptr<AdmissionController> ShardedSearchService::admission() const {
+  std::lock_guard<std::mutex> lock(background_mutex_);
+  return admission_;
 }
 
-std::vector<Result<SearchResponse>> ShardedSearchService::SearchBatchImpl(
+void ShardedSearchService::EnableAdmissionControl(
+    AdmissionController::Options options) {
+  auto controller = std::make_shared<AdmissionController>(std::move(options));
+  std::lock_guard<std::mutex> lock(background_mutex_);
+  admission_ = std::move(controller);
+}
+
+void ShardedSearchService::DisableAdmissionControl() {
+  std::lock_guard<std::mutex> lock(background_mutex_);
+  admission_ = nullptr;
+}
+
+void ShardedSearchService::AccountResponse(
+    const Result<SearchResponse>& response) {
+  if (!response.ok()) return;
+  const SearchResponse& r = response.value();
+  if (r.stats.truncated) {
+    qos_truncated_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (r.deadline_exceeded) {
+    qos_deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+  }
+  qos_shards_abandoned_.fetch_add(r.shards_abandoned,
+                                  std::memory_order_relaxed);
+  qos_shards_failed_.fetch_add(r.shards_failed, std::memory_order_relaxed);
+}
+
+Result<SearchResponse> ShardedSearchService::Search(
+    const SearchRequest& request) {
+  return std::move(
+      SearchBatch(std::span<const SearchRequest>(&request, 1))[0]);
+}
+
+std::vector<Result<SearchResponse>> ShardedSearchService::SearchBatch(
     std::span<const SearchRequest> requests) {
-  return ExecuteRequests(requests);
+  const std::shared_ptr<AdmissionController> controller = admission();
+  if (controller == nullptr) {
+    // QoS edge disabled: pure pass-through, bit-identical to the
+    // pre-admission behaviour (only the cumulative counters observe).
+    qos_admitted_.fetch_add(requests.size(), std::memory_order_relaxed);
+    std::vector<Result<SearchResponse>> responses = ExecuteRequests(requests);
+    for (const auto& response : responses) AccountResponse(response);
+    return responses;
+  }
+
+  // Per-row admission BEFORE dispatch: shed rows answer immediately
+  // (their slot in the batch is a well-formed shed response), the rest
+  // run as one fan-out with degrade overrides already applied.
+  std::vector<Result<SearchResponse>> responses(
+      requests.size(), Status::Internal("batch slot never executed"));
+  std::vector<SearchRequest> to_run;
+  std::vector<size_t> to_run_slot;
+  std::vector<char> row_degraded;
+  to_run.reserve(requests.size());
+  to_run_slot.reserve(requests.size());
+  row_degraded.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const AdmissionController::Ticket ticket =
+        controller->Admit(EstimateQueryCost(requests[i].query));
+    if (ticket.decision == AdmissionController::Decision::kShed) {
+      qos_shed_.fetch_add(1, std::memory_order_relaxed);
+      responses[i] = ShedResponse(requests[i], backend_label_);
+      continue;
+    }
+    const bool degrade =
+        ticket.decision == AdmissionController::Decision::kDegrade;
+    to_run.push_back(degrade
+                         ? ApplyDegrade(requests[i], controller->options())
+                         : requests[i]);
+    to_run_slot.push_back(i);
+    row_degraded.push_back(degrade ? 1 : 0);
+  }
+  if (!to_run.empty()) {
+    std::vector<Result<SearchResponse>> ran = ExecuteRequests(to_run);
+    for (size_t j = 0; j < ran.size(); ++j) {
+      if (row_degraded[j]) {
+        qos_degraded_.fetch_add(1, std::memory_order_relaxed);
+        if (ran[j].ok()) ran[j].value().degraded = true;
+      } else {
+        qos_admitted_.fetch_add(1, std::memory_order_relaxed);
+      }
+      AccountResponse(ran[j]);
+      responses[to_run_slot[j]] = std::move(ran[j]);
+    }
+  }
+  // One slot was held per admitted or degraded row.
+  for (size_t s = 0; s < to_run.size(); ++s) controller->Release();
+  return responses;
+}
+
+ShardedSearchService::QosCounters ShardedSearchService::qos_counters() const {
+  QosCounters counters;
+  counters.admitted = qos_admitted_.load(std::memory_order_relaxed);
+  counters.degraded = qos_degraded_.load(std::memory_order_relaxed);
+  counters.shed = qos_shed_.load(std::memory_order_relaxed);
+  counters.truncated = qos_truncated_.load(std::memory_order_relaxed);
+  counters.deadline_exceeded =
+      qos_deadline_exceeded_.load(std::memory_order_relaxed);
+  counters.shards_abandoned =
+      qos_shards_abandoned_.load(std::memory_order_relaxed);
+  counters.shards_failed =
+      qos_shards_failed_.load(std::memory_order_relaxed);
+  return counters;
 }
 
 std::vector<Result<SearchResponse>> ShardedSearchService::ExecuteRequests(
@@ -749,10 +882,6 @@ Status ShardedSearchService::CompactShard(size_t shard,
   return shards_[shard]->Compact(outcome);
 }
 
-size_t ShardedSearchService::num_users() const {
-  return provider_->num_users();
-}
-
 size_t ShardedSearchService::unindexed_items() const {
   size_t total = 0;
   for (const auto& shard : shards_) total += shard->unindexed_items();
@@ -798,7 +927,7 @@ std::vector<TagId> ShardedSearchService::TagsOf(ItemId item) const {
 std::vector<UserId> ShardedSearchService::FriendsOf(UserId user) const {
   // Pin the provider's generation: the span must not dangle if a
   // concurrent friendship edit publishes a new graph mid-copy.
-  const ProximityProvider::GraphView view = provider_->Acquire();
+  const GraphView view = provider_->Acquire();
   const auto friends = view.graph->Friends(user);
   return std::vector<UserId>(friends.begin(), friends.end());
 }
@@ -826,8 +955,168 @@ std::string ShardedSearchService::StatsSummary() const {
       static_cast<unsigned long long>(proximity.overlay_folds),
       static_cast<unsigned long long>(proximity.boundary_crossings),
       proximity.frontier_users);
-  summary += QosSummaryLine();
+  const QosCounters c = qos_counters();
+  summary += StringPrintf(
+      "[qos] admitted=%llu degraded=%llu shed=%llu truncated=%llu "
+      "deadline_exceeded=%llu shards_abandoned=%llu shards_failed=%llu",
+      static_cast<unsigned long long>(c.admitted),
+      static_cast<unsigned long long>(c.degraded),
+      static_cast<unsigned long long>(c.shed),
+      static_cast<unsigned long long>(c.truncated),
+      static_cast<unsigned long long>(c.deadline_exceeded),
+      static_cast<unsigned long long>(c.shards_abandoned),
+      static_cast<unsigned long long>(c.shards_failed));
+  if (const auto controller = admission(); controller != nullptr) {
+    summary += StringPrintf(
+        " inflight=%zu peak_inflight=%llu", controller->inflight(),
+        static_cast<unsigned long long>(
+            controller->counters().peak_inflight));
+  }
+  summary += "\n";
   return summary;
+}
+
+// --- Background ingest / compaction plumbing ---------------------------
+
+std::shared_ptr<IngestPipeline> ShardedSearchService::pipeline() const {
+  std::lock_guard<std::mutex> lock(background_mutex_);
+  return pipeline_;
+}
+
+std::shared_ptr<CompactionScheduler> ShardedSearchService::scheduler() const {
+  std::lock_guard<std::mutex> lock(background_mutex_);
+  return scheduler_;
+}
+
+Status ShardedSearchService::StartIngest(
+    const IngestPipeline::Options& options) {
+  std::lock_guard<std::mutex> lock(background_mutex_);
+  if (pipeline_ != nullptr) {
+    return Status::FailedPrecondition("ingest pipeline already running");
+  }
+  pipeline_ = std::make_shared<IngestPipeline>(this, options);
+  return Status::Ok();
+}
+
+Status ShardedSearchService::StopIngest() {
+  // shutdown_mutex_ spans the whole drain: a second concurrent caller
+  // blocks here until the first caller's writer thread is joined, so
+  // Stop's return always means "no writer thread is running".
+  std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
+  std::shared_ptr<IngestPipeline> stopping = pipeline();
+  if (stopping == nullptr) return Status::Ok();
+  // Outside background_mutex_: Stop() drains the queue through this
+  // service's mutators and unblocks producers waiting on backpressure.
+  // The pipeline stays registered until the drain completes, so Flush()
+  // issued concurrently still waits for queued work instead of
+  // short-circuiting through the no-pipeline path.
+  stopping->Stop();
+  {
+    std::lock_guard<std::mutex> lock(background_mutex_);
+    pipeline_ = nullptr;
+  }
+  return Status::Ok();
+}
+
+bool ShardedSearchService::ingest_running() const {
+  return pipeline() != nullptr;
+}
+
+Result<IngestTicket> ShardedSearchService::EnqueueItems(
+    std::vector<Item> items) {
+  if (const auto active = pipeline(); active != nullptr) {
+    return active->EnqueueItems(std::move(items));
+  }
+  // Synchronous fallback: apply now, hand back a completed ticket. Lets
+  // callers write Enqueue + Flush once and run with or without the
+  // pipeline (the ticket's status carries any rejection).
+  Result<std::vector<ItemId>> ids = AddItems(items);
+  if (!ids.ok()) return IngestTicket::Resolved(ids.status(), {});
+  return IngestTicket::Resolved(Status::Ok(), std::move(ids).value());
+}
+
+Result<IngestTicket> ShardedSearchService::EnqueueFriendshipEdit(
+    UserId u, UserId v, bool adding) {
+  // ONE pipeline snapshot decides both the validation mode and the
+  // dispatch path — two separate reads could straddle a concurrent
+  // Start/StopIngest and judge the edit under the wrong mode.
+  const auto active = pipeline();
+  // The router is the single validation authority (the same rules the
+  // edit itself will apply). Structural rejections (range, self-edge)
+  // are always final at the edge; edge-EXISTENCE checks are only exact
+  // when writes are synchronous — with a pipeline running, a still-
+  // queued edit may legitimately change the edge's state before this
+  // one applies (Add immediately followed by Remove is a valid ordered
+  // sequence), so there the existence verdict rides the ticket instead.
+  AMICI_RETURN_IF_ERROR(provider_->ValidateEdit(
+      u, v, adding, /*check_existence=*/active == nullptr));
+  if (active != nullptr) {
+    return adding ? active->EnqueueAddFriendship(u, v)
+                  : active->EnqueueRemoveFriendship(u, v);
+  }
+  return IngestTicket::Resolved(
+      adding ? AddFriendship(u, v) : RemoveFriendship(u, v), {});
+}
+
+Result<IngestTicket> ShardedSearchService::EnqueueAddFriendship(UserId u,
+                                                                UserId v) {
+  return EnqueueFriendshipEdit(u, v, /*adding=*/true);
+}
+
+Result<IngestTicket> ShardedSearchService::EnqueueRemoveFriendship(
+    UserId u, UserId v) {
+  return EnqueueFriendshipEdit(u, v, /*adding=*/false);
+}
+
+Status ShardedSearchService::Flush() {
+  if (const auto active = pipeline(); active != nullptr) {
+    return active->Flush();
+  }
+  return Status::Ok();  // synchronous writes are always visible
+}
+
+IngestCounters ShardedSearchService::ingest_counters() const {
+  if (const auto active = pipeline(); active != nullptr) {
+    return active->counters();
+  }
+  return IngestCounters{};
+}
+
+Status ShardedSearchService::StartAutoCompaction(
+    const CompactionScheduler::Options& options) {
+  std::lock_guard<std::mutex> lock(background_mutex_);
+  if (scheduler_ != nullptr) {
+    return Status::FailedPrecondition("compaction scheduler already running");
+  }
+  scheduler_ = std::make_shared<CompactionScheduler>(this, options);
+  return Status::Ok();
+}
+
+Status ShardedSearchService::StopAutoCompaction() {
+  std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
+  std::shared_ptr<CompactionScheduler> stopping = scheduler();
+  if (stopping == nullptr) return Status::Ok();
+  stopping->Stop();  // outside background_mutex_: joins the poll thread
+  {
+    // Retire the count and unregister ATOMICALLY (one critical section):
+    // auto_compactions() readers see either live-scheduler or
+    // retired-count state, never a window with neither.
+    std::lock_guard<std::mutex> lock(background_mutex_);
+    retired_auto_compactions_ += stopping->compactions_triggered();
+    scheduler_ = nullptr;
+  }
+  return Status::Ok();
+}
+
+bool ShardedSearchService::auto_compaction_running() const {
+  return scheduler() != nullptr;
+}
+
+uint64_t ShardedSearchService::auto_compactions() const {
+  std::lock_guard<std::mutex> lock(background_mutex_);
+  uint64_t total = retired_auto_compactions_;
+  if (scheduler_ != nullptr) total += scheduler_->compactions_triggered();
+  return total;
 }
 
 }  // namespace amici

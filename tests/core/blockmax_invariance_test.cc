@@ -170,9 +170,9 @@ TEST(BlockMaxInvarianceTest, EngineTwinsBitIdenticalAcrossAlgorithms) {
   }
 }
 
-std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
-                                            size_t num_shards,
-                                            bool enable_block_max) {
+std::unique_ptr<ShardedSearchService> BuildService(const DatasetConfig& config,
+                                                   size_t num_shards,
+                                                   bool enable_block_max) {
   Dataset dataset = GenerateDataset(config).value();
   ShardedSearchService::Options options;
   options.num_shards = num_shards;

@@ -42,9 +42,9 @@ DatasetConfig TestConfig(uint64_t seed) {
 
 /// Builds one service over the (deterministically regenerated) dataset
 /// with the given forced compaction mode.
-std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
-                                            size_t num_shards,
-                                            CompactionMode mode) {
+std::unique_ptr<ShardedSearchService> BuildService(const DatasetConfig& config,
+                                                   size_t num_shards,
+                                                   CompactionMode mode) {
   Dataset dataset = GenerateDataset(config).value();
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
@@ -111,8 +111,8 @@ std::vector<SearchRequest> BuildProbes(const DatasetConfig& config) {
 /// Twin responses must agree EXACTLY: same backend, same corpus, same
 /// code — the only difference is merged vs rebuilt index representation,
 /// whose contents are bit-identical by construction.
-void ExpectIdenticalResponses(SearchService* merge_twin,
-                              SearchService* rebuild_twin,
+void ExpectIdenticalResponses(ShardedSearchService* merge_twin,
+                              ShardedSearchService* rebuild_twin,
                               std::span<const SearchRequest> probes,
                               const std::string& label) {
   for (size_t i = 0; i < probes.size(); ++i) {
@@ -225,18 +225,31 @@ void RunInvarianceWorkload(size_t num_shards, uint64_t seed) {
                              round_label + " post-compact");
   }
 
-  // The twins really took different paths: the merge twin's responses
-  // report merge compactions, the rebuild twin's report none.
-  const auto merged_response = merge_twin->Search(probes[0]);
-  const auto rebuilt_response = rebuild_twin->Search(probes[0]);
-  ASSERT_TRUE(merged_response.ok());
-  ASSERT_TRUE(rebuilt_response.ok());
-  EXPECT_GT(merged_response.value().stats.compactions_merge, 0u) << label;
-  EXPECT_EQ(merged_response.value().stats.compactions_rebuild, 0u) << label;
-  EXPECT_GT(rebuilt_response.value().stats.compactions_rebuild, 0u) << label;
-  EXPECT_EQ(rebuilt_response.value().stats.compactions_merge, 0u) << label;
-  EXPECT_GT(merged_response.value().stats.compaction_items_merged, 0u)
-      << label;
+  // The twins really took different paths: summed over the shards, the
+  // merge twin's engines report merge compactions, the rebuild twin's
+  // report none.
+  struct CompactionTotals {
+    uint64_t merge = 0;
+    uint64_t rebuild = 0;
+    uint64_t items_merged = 0;
+  };
+  auto totals = [](ShardedSearchService* service) {
+    CompactionTotals sum;
+    for (size_t s = 0; s < service->num_shards(); ++s) {
+      const EngineStats& stats = service->shard_engine(s)->stats();
+      sum.merge += stats.merge_compactions();
+      sum.rebuild += stats.rebuild_compactions();
+      sum.items_merged += stats.compaction_items_merged();
+    }
+    return sum;
+  };
+  const CompactionTotals merged = totals(merge_twin.get());
+  const CompactionTotals rebuilt = totals(rebuild_twin.get());
+  EXPECT_GT(merged.merge, 0u) << label;
+  EXPECT_EQ(merged.rebuild, 0u) << label;
+  EXPECT_GT(rebuilt.rebuild, 0u) << label;
+  EXPECT_EQ(rebuilt.merge, 0u) << label;
+  EXPECT_GT(merged.items_merged, 0u) << label;
   // StatsSummary surfaces the mode split.
   EXPECT_NE(merge_twin->StatsSummary().find("merge"), std::string::npos);
 }

@@ -49,8 +49,8 @@ DatasetConfig TestConfig(uint64_t seed) {
   return config;
 }
 
-std::unique_ptr<SearchService> BuildBackend(const DatasetConfig& config,
-                                            size_t shards) {
+std::unique_ptr<ShardedSearchService> BuildBackend(const DatasetConfig& config,
+                                                   size_t shards) {
   Dataset dataset = GenerateDataset(config).value();
   ShardedSearchService::Options options;
   options.num_shards = shards;
@@ -82,7 +82,8 @@ Item ProducedItem(size_t index, size_t num_users) {
 
 /// Disjoint, not-initially-present edges: deterministic, so the baseline
 /// applies the exact same set.
-std::vector<std::pair<UserId, UserId>> EditList(const SearchService& service) {
+std::vector<std::pair<UserId, UserId>> EditList(
+    const ShardedSearchService& service) {
   std::vector<std::pair<UserId, UserId>> edits;
   const size_t num_users = service.num_users();
   for (UserId u = 1; edits.size() < kEdits && u + 1 < num_users; u += 2) {

@@ -1,4 +1,4 @@
-// End-to-end lifecycle through the SearchService surface: generate ->
+// End-to-end lifecycle through the ShardedSearchService surface: generate ->
 // persist graph -> rebuild service -> query -> incremental ingest (single
 // and batched) -> compact -> query again.
 

@@ -2,7 +2,7 @@
 // early-terminating algorithm returns exactly the same top-k score
 // profile as the exhaustive oracle, for every proximity model, blend
 // parameter, match mode, and graph topology — exercised through the
-// SearchService surface (the algorithm under test is the request's
+// ShardedSearchService surface (the algorithm under test is the request's
 // execution hint).
 
 #include <memory>

@@ -1,4 +1,4 @@
-// Randomized lifecycle stress through the SearchService surface:
+// Randomized lifecycle stress through the ShardedSearchService surface:
 // interleave item ingest (single + batched), friendship churn,
 // compactions, and queries, checking after every mutation batch that the
 // early-terminating strategies still agree with the exhaustive oracle.

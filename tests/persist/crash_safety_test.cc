@@ -3,9 +3,11 @@
 // in a segment or manifest must be refused loudly — never absorbed into
 // a silently-wrong index.
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -164,14 +166,13 @@ TEST(CrashSafetyTest, BitFlippedSegmentPayloadIsRejected) {
                   .ok());
 }
 
-TEST(CrashSafetyTest, ShardManifestListingAGraphIsRejected) {
-  // The graph lives only at the service root. A shard manifest that
-  // lists one — here a byte-valid copy of the root's own graph segment,
-  // under a correctly checksummed manifest — is corrupt input, not a
-  // second graph to load or silently ignore.
+/// Saves a 1-shard snapshot into `dir`, then makes its shard manifest
+/// list a byte-valid copy of the root's own graph segment, under a
+/// correctly checksummed manifest: every file passes its checksums, but
+/// the layout is corrupt.
+void WriteShardManifestListingAGraph(const std::string& dir) {
   auto service = BuildOneShard(TestConfig(8));
   ASSERT_TRUE(service.ok());
-  const std::string dir = TempDir("shard_graph");
   const auto report = service.value()->SaveSnapshot(dir);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -193,12 +194,42 @@ TEST(CrashSafetyTest, ShardManifestListingAGraphIsRejected) {
   out.close();
   shard.value().segments.push_back(graph);
   ASSERT_TRUE(persist::WriteManifestFile(shard_dir, shard.value()).ok());
+}
+
+TEST(CrashSafetyTest, ShardManifestListingAGraphIsRejected) {
+  // The graph lives only at the service root. A shard manifest that
+  // lists one is corrupt input, not a second graph to load or silently
+  // ignore.
+  const std::string dir = TempDir("shard_graph");
+  ASSERT_NO_FATAL_FAILURE(WriteShardManifestListingAGraph(dir));
 
   const auto twin = ShardedSearchService::OpenSnapshot(
       dir, ShardedSearchService::Options());
   ASSERT_FALSE(twin.ok()) << "shard graph segment was accepted";
   EXPECT_EQ(twin.status().code(), StatusCode::kCorruption)
       << twin.status().ToString();
+}
+
+/// Exit code of `amici_snapshot verify dir` (-1 when it did not exit).
+int RunVerifyTool(const std::string& dir) {
+  const std::string command =
+      std::string(AMICI_SNAPSHOT_TOOL) + " verify " + dir + " > /dev/null";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CrashSafetyTest, VerifyToolRefusesWhatTheOpenerRefuses) {
+  // Checksums alone pass this directory; `verify` must also run the
+  // service opener and fail where OpenSnapshot fails.
+  const std::string clean = TempDir("verify_clean");
+  auto service = BuildOneShard(TestConfig(8));
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE(service.value()->SaveSnapshot(clean).ok());
+  EXPECT_EQ(RunVerifyTool(clean), 0);
+
+  const std::string dir = TempDir("verify_shard_graph");
+  ASSERT_NO_FATAL_FAILURE(WriteShardManifestListingAGraph(dir));
+  EXPECT_EQ(RunVerifyTool(dir), 1);
 }
 
 TEST(CrashSafetyTest, BitFlippedManifestIsRejected) {

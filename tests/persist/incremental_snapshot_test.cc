@@ -117,7 +117,7 @@ void ExpectTwinEqual(ShardedSearchService* live, const std::string& dir,
 
 /// A small tail confined to TWO tags and THREE owners; after compaction
 /// folds it in, the dirty set is exactly those keys.
-void IngestNarrowTail(SearchService* service) {
+void IngestNarrowTail(ShardedSearchService* service) {
   Rng rng(1);
   for (int i = 0; i < 12; ++i) {
     Item item;

@@ -202,8 +202,8 @@ TEST(SnapshotRestartTest, EngineRejectsServiceRootDirectory) {
 
 // --- Services ------------------------------------------------------------
 
-std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
-                                            size_t num_shards) {
+std::unique_ptr<ShardedSearchService> BuildService(const DatasetConfig& config,
+                                                   size_t num_shards) {
   Dataset dataset = GenerateDataset(config).value();
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
@@ -214,7 +214,7 @@ std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
   return std::move(service).value();
 }
 
-std::unique_ptr<SearchService> OpenService(const std::string& dir) {
+std::unique_ptr<ShardedSearchService> OpenService(const std::string& dir) {
   auto twin = ShardedSearchService::OpenSnapshot(
       dir, ShardedSearchService::Options());
   EXPECT_TRUE(twin.ok()) << twin.status().ToString();
@@ -243,7 +243,7 @@ std::vector<SearchRequest> BuildRequests(const DatasetConfig& config) {
   return requests;
 }
 
-void ExpectServiceTwin(SearchService* live, SearchService* twin,
+void ExpectServiceTwin(ShardedSearchService* live, ShardedSearchService* twin,
                        std::span<const SearchRequest> requests,
                        const std::string& phase) {
   ASSERT_EQ(live->num_items(), twin->num_items()) << phase;

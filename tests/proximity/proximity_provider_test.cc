@@ -1,4 +1,4 @@
-// The single-node ProximityProvider — a 1-partition
+// The single-node proximity provider — a 1-partition
 // ProximityServiceRouter, what SocialSearchEngine::MakeProximityProvider
 // builds by default: the one graph + proximity surface behind every
 // engine. Covers the RCU-style generation publishes, edge-edit

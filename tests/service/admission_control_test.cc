@@ -1,10 +1,12 @@
-// Admission control at the SearchService edge: the gate order, the token
-// bucket under a FAKE clock (no timing luck — every verdict here is a
+// Admission control at the service's query edge: the gate order, the
+// token bucket under a FAKE clock (no timing luck — every verdict here is a
 // pure function of controller state), and the honest-response contract
 // (shed = well-formed empty response, degrade = cheaper run, both
 // reported in the response and the QoS counters — never a silent drop).
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -136,67 +138,86 @@ SearchRequest TestRequest(UserId user) {
   return request;
 }
 
+/// Runs `request` through Search, or as a one-row SearchBatch: both
+/// entries must pass the same QoS edge.
+Result<SearchResponse> RunOne(ShardedSearchService* service,
+                              const SearchRequest& request, bool as_batch) {
+  if (!as_batch) return service->Search(request);
+  std::vector<Result<SearchResponse>> rows =
+      service->SearchBatch(std::span<const SearchRequest>(&request, 1));
+  EXPECT_EQ(rows.size(), 1u);
+  return std::move(rows[0]);
+}
+
 TEST(AdmissionServiceTest, ShedResponseIsWellFormedAndCounted) {
-  auto service = BuildService();
-  const auto baseline = service->Search(TestRequest(7));
-  ASSERT_TRUE(baseline.ok());
-  ASSERT_FALSE(baseline.value().items.empty());
+  for (const bool as_batch : {false, true}) {
+    SCOPED_TRACE(as_batch ? "one-row SearchBatch" : "Search");
+    auto service = BuildService();
+    const auto baseline = RunOne(service.get(), TestRequest(7), as_batch);
+    ASSERT_TRUE(baseline.ok());
+    ASSERT_FALSE(baseline.value().items.empty());
 
-  // Every query costs more than one candidate, so shed_cost = 1 sheds
-  // everything — deterministically, no clock involved.
-  auto options = BaseOptions();
-  options.shed_cost = 1;
-  service->EnableAdmissionControl(options);
+    // Every query costs more than one candidate, so shed_cost = 1 sheds
+    // everything — deterministically, no clock involved.
+    auto options = BaseOptions();
+    options.shed_cost = 1;
+    service->EnableAdmissionControl(options);
 
-  const auto shed = service->Search(TestRequest(7));
-  ASSERT_TRUE(shed.ok()) << "shed must be a response, not an error";
-  EXPECT_TRUE(shed.value().shed);
-  EXPECT_TRUE(shed.value().items.empty());
-  EXPECT_EQ(shed.value().shards_touched, 0u);
-  EXPECT_EQ(shed.value().backend, "sharded/1");
-  EXPECT_FALSE(shed.value().degraded);
+    const auto shed = RunOne(service.get(), TestRequest(7), as_batch);
+    ASSERT_TRUE(shed.ok()) << "shed must be a response, not an error";
+    EXPECT_TRUE(shed.value().shed);
+    EXPECT_TRUE(shed.value().items.empty());
+    EXPECT_EQ(shed.value().shards_touched, 0u);
+    EXPECT_EQ(shed.value().backend, "sharded/1");
+    EXPECT_FALSE(shed.value().degraded);
 
-  const auto qos = service->qos_counters();
-  EXPECT_EQ(qos.shed, 1u);
-  EXPECT_EQ(qos.admitted, 1u);  // the baseline ran pre-enable
+    const auto qos = service->qos_counters();
+    EXPECT_EQ(qos.shed, 1u);
+    EXPECT_EQ(qos.admitted, 1u);  // the baseline ran pre-enable
 
-  // Disabling restores pass-through, bit-identically.
-  service->DisableAdmissionControl();
-  const auto again = service->Search(TestRequest(7));
-  ASSERT_TRUE(again.ok());
-  ASSERT_EQ(again.value().items.size(), baseline.value().items.size());
-  for (size_t i = 0; i < again.value().items.size(); ++i) {
-    EXPECT_EQ(again.value().items[i].item, baseline.value().items[i].item);
-    EXPECT_EQ(again.value().items[i].score, baseline.value().items[i].score);
+    // Disabling restores pass-through, bit-identically.
+    service->DisableAdmissionControl();
+    const auto again = RunOne(service.get(), TestRequest(7), as_batch);
+    ASSERT_TRUE(again.ok());
+    ASSERT_EQ(again.value().items.size(), baseline.value().items.size());
+    for (size_t i = 0; i < again.value().items.size(); ++i) {
+      EXPECT_EQ(again.value().items[i].item, baseline.value().items[i].item);
+      EXPECT_EQ(again.value().items[i].score,
+                baseline.value().items[i].score);
+    }
   }
 }
 
 TEST(AdmissionServiceTest, DegradeRunsCheaperAndSaysSo) {
-  auto service = BuildService();
-  const auto baseline = service->Search(TestRequest(7));
-  ASSERT_TRUE(baseline.ok());
-  ASSERT_GT(baseline.value().items.size(), 3u);
+  for (const bool as_batch : {false, true}) {
+    SCOPED_TRACE(as_batch ? "one-row SearchBatch" : "Search");
+    auto service = BuildService();
+    const auto baseline = RunOne(service.get(), TestRequest(7), as_batch);
+    ASSERT_TRUE(baseline.ok());
+    ASSERT_GT(baseline.value().items.size(), 3u);
 
-  auto options = BaseOptions();
-  options.degrade_cost = 1;  // degrade everything
-  options.degrade_algorithm = AlgorithmId::kMergeScan;
-  options.degrade_k_cap = 3;
-  service->EnableAdmissionControl(options);
+    auto options = BaseOptions();
+    options.degrade_cost = 1;  // degrade everything
+    options.degrade_algorithm = AlgorithmId::kMergeScan;
+    options.degrade_k_cap = 3;
+    service->EnableAdmissionControl(options);
 
-  const auto degraded = service->Search(TestRequest(7));
-  ASSERT_TRUE(degraded.ok());
-  EXPECT_TRUE(degraded.value().degraded);
-  EXPECT_FALSE(degraded.value().shed);
-  EXPECT_EQ(degraded.value().algorithm, "merge-scan");
-  ASSERT_EQ(degraded.value().items.size(), 3u);
-  // Exact for WHAT RAN: merge-scan's top-3 is the true top-3, i.e. the
-  // baseline's first three entries.
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(degraded.value().items[i].item, baseline.value().items[i].item);
-    EXPECT_EQ(degraded.value().items[i].score,
-              baseline.value().items[i].score);
+    const auto degraded = RunOne(service.get(), TestRequest(7), as_batch);
+    ASSERT_TRUE(degraded.ok());
+    EXPECT_TRUE(degraded.value().degraded);
+    EXPECT_FALSE(degraded.value().shed);
+    EXPECT_EQ(degraded.value().algorithm, "merge-scan");
+    ASSERT_EQ(degraded.value().items.size(), 3u);
+    // Exact for WHAT RAN: merge-scan's top-3 is the true top-3, i.e. the
+    // baseline's first three entries.
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(degraded.value().items[i].item,
+                baseline.value().items[i].item);
+      EXPECT_EQ(degraded.value().items[i].score,
+                baseline.value().items[i].score);
+    }
+    EXPECT_EQ(service->qos_counters().degraded, 1u);
   }
-  EXPECT_EQ(service->qos_counters().degraded, 1u);
 }
 
 TEST(AdmissionServiceTest, BatchAdmitsPerRow) {

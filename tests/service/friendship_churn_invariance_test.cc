@@ -3,7 +3,7 @@
 // single-engine reference and to a fleet of variant backends must keep
 // every backend bit-identical at every step — including across the graph
 // generation bumps the edits cause (each edit publishes a new generation
-// through the ProximityProvider, and every shard must adopt it before the
+// through the ProximityServiceRouter, and every shard must adopt it before the
 // next query).
 //
 // The fleet covers both axes of the serving topology:
@@ -44,7 +44,7 @@ DatasetConfig TestConfig(uint64_t seed) {
 
 /// One backend under test plus how the run should exercise its folds.
 struct Backend {
-  std::unique_ptr<SearchService> service;
+  std::unique_ptr<ShardedSearchService> service;
   std::string label;
   /// Call FoldOverlay explicitly during the run (only meaningful for
   /// overlay-backed providers — i.e. all of them, post delta-overlay).
@@ -65,7 +65,7 @@ std::unique_ptr<SocialSearchEngine> BuildEngine(const DatasetConfig& config) {
   return std::move(engine).value();
 }
 
-std::unique_ptr<SearchService> BuildSharded(
+std::unique_ptr<ShardedSearchService> BuildSharded(
     const DatasetConfig& config, size_t shards,
     SocialSearchEngine::Options engine_options = {}) {
   Dataset dataset = GenerateDataset(config).value();
@@ -79,9 +79,8 @@ std::unique_ptr<SearchService> BuildSharded(
   return std::move(sharded).value();
 }
 
-std::unique_ptr<SearchService> BuildPartitioned(const DatasetConfig& config,
-                                                size_t partitions,
-                                                bool aggressive_folds) {
+std::unique_ptr<ShardedSearchService> BuildPartitioned(
+    const DatasetConfig& config, size_t partitions, bool aggressive_folds) {
   SocialSearchEngine::Options options;
   options.proximity_partitions = partitions;
   if (aggressive_folds) {

@@ -1,4 +1,4 @@
-// The acceptance property of the ProximityProvider redesign: behind an
+// The acceptance property of the shared proximity provider: behind an
 // N-shard ShardedSearchService there is exactly ONE SocialGraph instance
 // and ONE proximity cache, and a cache-missed user costs exactly ONE
 // proximity computation per (user, generation) — not N — even though all

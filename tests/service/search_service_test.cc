@@ -1,4 +1,4 @@
-// Contract tests for the SearchService surface, run at one and at three
+// Contract tests for the ShardedSearchService surface, run at one and at three
 // shards: labels, global id assignment, request options (algorithm hint,
 // max_per_owner, deadline stub), error propagation, and the
 // all-or-nothing AddItems batch.
@@ -26,7 +26,7 @@ DatasetConfig ContractConfig() {
   return config;
 }
 
-std::unique_ptr<SearchService> BuildBackend(size_t num_shards) {
+std::unique_ptr<ShardedSearchService> BuildBackend(size_t num_shards) {
   Dataset dataset = GenerateDataset(ContractConfig()).value();
   ShardedSearchService::Options options;
   options.num_shards = num_shards;

@@ -44,8 +44,8 @@ std::unique_ptr<SocialSearchEngine> BuildEngine(const DatasetConfig& config) {
   return std::move(engine).value();
 }
 
-std::unique_ptr<SearchService> BuildSharded(const DatasetConfig& config,
-                                            size_t num_shards) {
+std::unique_ptr<ShardedSearchService> BuildSharded(const DatasetConfig& config,
+                                                   size_t num_shards) {
   // The generator is deterministic: regenerating yields the identical
   // corpus the reference engine consumed.
   Dataset dataset = GenerateDataset(config).value();
@@ -167,10 +167,10 @@ void ExpectSameResponse(const Result<QueryResult>& expected,
   }
 }
 
-void ExpectInvariant(SocialSearchEngine* engine,
-                     std::span<const std::unique_ptr<SearchService>> sharded,
-                     std::span<const SearchRequest> requests,
-                     const std::string& phase) {
+void ExpectInvariant(
+    SocialSearchEngine* engine,
+    std::span<const std::unique_ptr<ShardedSearchService>> sharded,
+    std::span<const SearchRequest> requests, const std::string& phase) {
   // One request at a time...
   std::vector<Result<QueryResult>> reference;
   for (const SearchRequest& request : requests) {
@@ -198,7 +198,7 @@ TEST(ShardedInvarianceTest, AllShardCountsMatchEngineAcrossMutations) {
     SCOPED_TRACE("dataset seed " + std::to_string(seed));
     const DatasetConfig config = TestConfig(seed);
     auto engine = BuildEngine(config);
-    std::vector<std::unique_ptr<SearchService>> sharded;
+    std::vector<std::unique_ptr<ShardedSearchService>> sharded;
     for (const size_t shards : kShardCounts) {
       sharded.push_back(BuildSharded(config, shards));
     }

@@ -11,7 +11,11 @@
 //   amici_snapshot verify DIR   re-read every live file and fail loudly:
 //                               manifest checksums, every segment's
 //                               payload FNV-1a against both its header
-//                               and the manifest, WAL frame checksums.
+//                               and the manifest, WAL frame checksums;
+//                               then open the snapshot the way the
+//                               service does (WAL neither replayed nor
+//                               attached, so nothing is written) and
+//                               fail on anything the opener refuses.
 //
 // Restart-equivalence smoke (CI runs the pair in SEPARATE processes and
 // diffs their stdout, proving a cold restart reproduces the exact top-k):
@@ -222,7 +226,7 @@ constexpr AlgorithmId kSmokeStrategies[] = {
 
 /// Prints every (query, strategy, mode) result with hexfloat scores —
 /// byte-exact, so `diff` between the two processes is the equality test.
-Status PrintSmokeResults(SearchService& service,
+Status PrintSmokeResults(ShardedSearchService& service,
                          std::span<const SocialQuery> queries) {
   std::printf("catalogue %zu items, %zu users, %zu shard(s)\n",
               service.num_items(), service.num_users(), service.num_shards());
@@ -313,6 +317,15 @@ int Run(int argc, char** argv) {
     if (report.value().failures > 0) {
       std::fprintf(stderr, "verify FAILED: %" PRIu64 " bad file(s)\n",
                    report.value().failures);
+      return 1;
+    }
+    ServicePersistState state;
+    const auto opened =
+        OpenServiceSnapshot(dir, SocialSearchEngine::Options(),
+                            persist::SnapshotOpenOptions(), &state);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "verify FAILED: %s\n",
+                   opened.status().ToString().c_str());
       return 1;
     }
     std::printf("verify OK\n");
